@@ -6,7 +6,6 @@
 #include <nmmintrin.h>  // SSE4.2 CRC32; used only behind a runtime cpu check
 #endif
 
-#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -29,8 +28,9 @@ namespace {
 constexpr char kMagic[8] = {'C', 'D', 'S', 'N', 'A', 'P', 'v', '1'};
 constexpr char kDeltaMagic[8] = {'C', 'D', 'D', 'E', 'L', 'T', 'A', '1'};
 constexpr std::size_t kHeaderSize = 40;
+constexpr std::size_t kSectionCountOffset = 36;
 
-// ---- v3 section layout (see snapshot.hpp for the format doc) ----------------
+// ---- section layout (see snapshot.hpp for the format doc) -------------------
 
 constexpr std::uint32_t kSectionState = 1;
 constexpr std::uint32_t kSectionDst = 2;
@@ -61,6 +61,34 @@ constexpr std::uint8_t kFlagMask = kFlagDstLineTerminated |
 // ---- little-endian writer ---------------------------------------------------
 
 constexpr bool kLittleEndianHost = std::endian::native == std::endian::little;
+
+/// Little-endian word loads from unaligned bytes — the one place the file
+/// format's byte order meets the host's.
+std::uint32_t load_le32(const char* p) {
+  std::uint32_t v = 0;
+  if constexpr (kLittleEndianHost) {
+    std::memcpy(&v, p, 4);
+  } else {
+    for (int i = 0; i < 4; ++i) {
+      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
+           << (8 * i);
+    }
+  }
+  return v;
+}
+
+std::uint64_t load_le64(const char* p) {
+  std::uint64_t v = 0;
+  if constexpr (kLittleEndianHost) {
+    std::memcpy(&v, p, 8);
+  } else {
+    for (int i = 0; i < 8; ++i) {
+      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(p[i]))
+           << (8 * i);
+    }
+  }
+  return v;
+}
 
 void put_u8(std::string& out, std::uint8_t v) {
   out.push_back(static_cast<char>(v));
@@ -115,37 +143,8 @@ class Cursor {
     return static_cast<std::uint8_t>(static_cast<unsigned char>(view(1)[0]));
   }
 
-  std::uint32_t u32() {
-    const std::string_view b = view(4);
-    if constexpr (kLittleEndianHost) {
-      std::uint32_t v;
-      std::memcpy(&v, b.data(), 4);
-      return v;
-    }
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(static_cast<unsigned char>(
-               b[static_cast<std::size_t>(i)]))
-           << (8 * i);
-    }
-    return v;
-  }
-
-  std::uint64_t u64() {
-    const std::string_view b = view(8);
-    if constexpr (kLittleEndianHost) {
-      std::uint64_t v;
-      std::memcpy(&v, b.data(), 8);
-      return v;
-    }
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(
-               b[static_cast<std::size_t>(i)]))
-           << (8 * i);
-    }
-    return v;
-  }
+  std::uint32_t u32() { return load_le32(view(4).data()); }
+  std::uint64_t u64() { return load_le64(view(8).data()); }
 
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
@@ -278,27 +277,6 @@ tle::Tle decode_tle(Cursor& in) {
   return t;
 }
 
-void encode_catalog(std::string& out, const tle::TleCatalog& catalog) {
-  put_u64(out, catalog.record_count());
-  for (const int id : catalog.satellites()) {
-    for (const tle::Tle& t : catalog.history(id)) encode_tle(out, t);
-  }
-}
-
-tle::TleCatalog decode_catalog(Cursor& in) {
-  const std::uint64_t count = in.u64();
-  tle::TleCatalog catalog;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    // add() re-validates each record and, because records were serialised in
-    // history order, appends at the end of its satellite's history — the
-    // rebuilt catalog is structurally identical to the one serialised.
-    if (!catalog.add(decode_tle(in))) {
-      throw ParseError("snapshot catalog record collided on reload");
-    }
-  }
-  return catalog;
-}
-
 void encode_quality(std::string& out, const diag::DataQualityReport& report) {
   put_u8(out, policy_byte(report.policy));
   put_u64(out, report.stages.size());
@@ -421,31 +399,39 @@ void apply_delta_payload(Cursor& in, SnapshotData& data,
   data.state = next;
 }
 
-}  // namespace
+// ---- content digest (XXH64) -------------------------------------------------
 
-std::uint64_t fnv1a(std::string_view bytes, std::uint64_t seed) {
-  std::uint64_t hash = seed;
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
+constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ULL;
+constexpr std::uint64_t kPrime4 = 0x85EBCA77C2B2AE63ULL;
+constexpr std::uint64_t kPrime5 = 0x27D4EB2F165667C5ULL;
+
+std::uint64_t digest_round(std::uint64_t acc, std::uint64_t input) {
+  acc += input * kPrime2;
+  return std::rotl(acc, 31) * kPrime1;
 }
 
-namespace {
+std::uint64_t digest_merge(std::uint64_t hash, std::uint64_t lane) {
+  hash ^= digest_round(0, lane);
+  return hash * kPrime1 + kPrime4;
+}
+
+// ---- CRC32C -----------------------------------------------------------------
 
 using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
 
-/// Slice-by-8 tables for a reflected CRC-32 polynomial.  table[0] is the
-/// classic byte-at-a-time table; tables 1..7 fold bytes further along, so
-/// the main loop can consume 8 input bytes per iteration with identical
+/// Slice-by-8 tables for the reflected Castagnoli polynomial.  table[0] is
+/// the classic byte-at-a-time table; tables 1..7 fold bytes further along,
+/// so the main loop can consume 8 input bytes per iteration with identical
 /// values to the one-byte walk, just ~6x faster.
-CrcTables make_crc_tables(std::uint32_t polynomial) {
+CrcTables make_crc32c_tables() {
+  constexpr std::uint32_t kPolynomial = 0x82F63B78u;
   CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) != 0 ? polynomial ^ (c >> 1) : c >> 1;
+      c = (c & 1u) != 0 ? kPolynomial ^ (c >> 1) : c >> 1;
     }
     t[0][i] = c;
   }
@@ -459,26 +445,14 @@ CrcTables make_crc_tables(std::uint32_t polynomial) {
   return t;
 }
 
-std::uint32_t crc_sliced(const CrcTables& tables, std::string_view bytes) {
+std::uint32_t crc32c_sliced(std::string_view bytes) {
+  static const CrcTables tables = make_crc32c_tables();
   std::uint32_t crc = 0xFFFFFFFFu;
   const char* p = bytes.data();
   std::size_t n = bytes.size();
   while (n >= 8) {
-    std::uint32_t lo;
-    std::uint32_t hi;
-    if constexpr (kLittleEndianHost) {
-      std::memcpy(&lo, p, 4);
-      std::memcpy(&hi, p + 4, 4);
-    } else {
-      lo = hi = 0;
-      for (int i = 0; i < 4; ++i) {
-        lo |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i]))
-              << (8 * i);
-        hi |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[4 + i]))
-              << (8 * i);
-      }
-    }
-    lo ^= crc;
+    const std::uint32_t lo = load_le32(p) ^ crc;
+    const std::uint32_t hi = load_le32(p + 4);
     crc = tables[7][lo & 0xFFu] ^ tables[6][(lo >> 8) & 0xFFu] ^
           tables[5][(lo >> 16) & 0xFFu] ^ tables[4][lo >> 24] ^
           tables[3][hi & 0xFFu] ^ tables[2][(hi >> 8) & 0xFFu] ^
@@ -519,11 +493,71 @@ __attribute__((target("sse4.2"))) std::uint32_t crc32c_hw(
 }
 #endif
 
+/// Newlines in `bytes`.  memchr is vectorised in libc; std::count over
+/// chars is not at -O2, and this runs over every input byte on every
+/// cold run and append.
+std::uint64_t count_newlines(std::string_view bytes) {
+  std::uint64_t lines = 0;
+  const char* p = bytes.data();
+  const char* const end = p + bytes.size();
+  while (p != end) {
+    const void* hit = std::memchr(p, '\n', static_cast<std::size_t>(end - p));
+    if (hit == nullptr) break;
+    ++lines;
+    p = static_cast<const char*>(hit) + 1;
+  }
+  return lines;
+}
+
 }  // namespace
 
-std::uint32_t crc32(std::string_view bytes) {
-  static const CrcTables tables = make_crc_tables(0xEDB88320u);
-  return crc_sliced(tables, bytes);
+std::uint64_t content_digest(std::string_view bytes, std::uint64_t seed) {
+  const char* p = bytes.data();
+  const char* const end = p + bytes.size();
+  std::uint64_t hash = seed + kPrime5;  // inputs under one stripe
+  if (bytes.size() >= 32) {
+    // Four independent lanes, one 8-byte word each per 32-byte stripe: the
+    // multiplies pipeline instead of serialising on one accumulator.
+    std::uint64_t v1 = seed + kPrime1 + kPrime2;
+    std::uint64_t v2 = seed + kPrime2;
+    std::uint64_t v3 = seed;
+    std::uint64_t v4 = seed - kPrime1;
+    const char* const last_stripe = end - 32;
+    do {
+      v1 = digest_round(v1, load_le64(p));
+      v2 = digest_round(v2, load_le64(p + 8));
+      v3 = digest_round(v3, load_le64(p + 16));
+      v4 = digest_round(v4, load_le64(p + 24));
+      p += 32;
+    } while (p <= last_stripe);
+    hash = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+           std::rotl(v4, 18);
+    hash = digest_merge(hash, v1);
+    hash = digest_merge(hash, v2);
+    hash = digest_merge(hash, v3);
+    hash = digest_merge(hash, v4);
+  }
+  hash += bytes.size();
+  for (; end - p >= 8; p += 8) {
+    hash ^= digest_round(0, load_le64(p));
+    hash = std::rotl(hash, 27) * kPrime1 + kPrime4;
+  }
+  if (end - p >= 4) {
+    hash ^= static_cast<std::uint64_t>(load_le32(p)) * kPrime1;
+    hash = std::rotl(hash, 23) * kPrime2 + kPrime3;
+    p += 4;
+  }
+  for (; p != end; ++p) {
+    hash ^= static_cast<unsigned char>(*p) * kPrime5;
+    hash = std::rotl(hash, 11) * kPrime1;
+  }
+  // Final avalanche: every input bit reaches every output bit.
+  hash ^= hash >> 33;
+  hash *= kPrime2;
+  hash ^= hash >> 29;
+  hash *= kPrime3;
+  hash ^= hash >> 32;
+  return hash;
 }
 
 std::uint32_t crc32c(std::string_view bytes) {
@@ -531,21 +565,18 @@ std::uint32_t crc32c(std::string_view bytes) {
   static const bool hardware = __builtin_cpu_supports("sse4.2");
   if (hardware) return crc32c_hw(bytes);
 #endif
-  static const CrcTables tables = make_crc_tables(0x82F63B78u);
-  return crc_sliced(tables, bytes);
+  return crc32c_sliced(bytes);
 }
 
 IngestState ingest_state_of(std::string_view dst_bytes,
                             std::string_view tle_bytes) {
   IngestState state;
   state.dst_len = dst_bytes.size();
-  state.dst_hash = fnv1a(dst_bytes);
-  state.dst_lines = static_cast<std::uint64_t>(
-      std::count(dst_bytes.begin(), dst_bytes.end(), '\n'));
+  state.dst_hash = content_digest(dst_bytes);
+  state.dst_lines = count_newlines(dst_bytes);
   state.tle_len = tle_bytes.size();
-  state.tle_lines = static_cast<std::uint64_t>(
-      std::count(tle_bytes.begin(), tle_bytes.end(), '\n'));
-  state.combined_hash = fnv1a(tle_bytes, state.dst_hash);
+  state.tle_lines = count_newlines(tle_bytes);
+  state.combined_hash = content_digest(tle_bytes, state.dst_hash);
   state.dst_line_terminated = dst_bytes.empty() || dst_bytes.back() == '\n';
   state.tle_line_terminated = tle_bytes.empty() || tle_bytes.back() == '\n';
   state.tle_boundary_clean = tle::append_boundary_clean(tle_bytes);
@@ -556,35 +587,51 @@ InputClassification classify_inputs(const IngestState& base,
                                     std::string_view dst_bytes,
                                     std::string_view tle_bytes) {
   InputClassification out;
-  out.current = ingest_state_of(dst_bytes, tle_bytes);
-  const IngestState& cur = out.current;
-
-  if (cur.dst_len == base.dst_len && cur.tle_len == base.tle_len &&
-      cur.dst_hash == base.dst_hash &&
-      cur.combined_hash == base.combined_hash) {
-    out.match = InputMatch::kExact;
+  // Lengths first: a shrunk input is neither exact nor an append, and
+  // costs no hashing.
+  if (dst_bytes.size() < base.dst_len || tle_bytes.size() < base.tle_len) {
     return out;
   }
-  // Append: nothing shrank, something grew, the recorded prefixes hash
-  // identically, and every grown file's recorded boundary was safe to
-  // extend (line-terminated; for TLE also pairing-clean, so an appended
-  // line 2 cannot retroactively pair with a prefix line 1).
-  if (cur.dst_len < base.dst_len || cur.tle_len < base.tle_len) return out;
-  const bool dst_grew = cur.dst_len > base.dst_len;
-  const bool tle_grew = cur.tle_len > base.tle_len;
-  if (!dst_grew && !tle_grew) return out;  // equal lengths, hashes differ
+  const bool dst_grew = dst_bytes.size() > base.dst_len;
+  const bool tle_grew = tle_bytes.size() > base.tle_len;
+  // Every grown file's recorded boundary must be safe to extend (line-
+  // terminated; for TLE also pairing-clean, so an appended line 2 cannot
+  // retroactively pair with a prefix line 1).
   if (dst_grew && !base.dst_line_terminated) return out;
   if (tle_grew && !(base.tle_line_terminated && base.tle_boundary_clean)) {
     return out;
   }
-  const std::uint64_t dst_prefix_hash =
-      dst_grew ? fnv1a(dst_bytes.substr(0, base.dst_len)) : cur.dst_hash;
-  if (dst_prefix_hash != base.dst_hash) return out;
-  // The recorded combined hash chains the TLE prefix onto the *recorded*
-  // Dst hash, so the prefix check reuses that seed even when Dst grew.
-  const std::uint64_t tle_prefix_hash =
-      fnv1a(tle_bytes.substr(0, base.tle_len), base.dst_hash);
-  if (tle_prefix_hash != base.combined_hash) return out;
+  // The recorded prefixes (the whole files, when nothing grew) must digest
+  // identically.  The recorded combined hash chains the TLE prefix onto
+  // the *recorded* Dst hash, so the TLE check reuses that seed even when
+  // Dst grew.
+  if (content_digest(dst_bytes.substr(0, base.dst_len)) != base.dst_hash) {
+    return out;
+  }
+  if (content_digest(tle_bytes.substr(0, base.tle_len), base.dst_hash) !=
+      base.combined_hash) {
+    return out;
+  }
+  out.current = base;
+  if (!dst_grew && !tle_grew) {
+    out.match = InputMatch::kExact;
+    return out;
+  }
+  // Append: extend the recorded state, counting lines in the tails only.
+  IngestState& cur = out.current;
+  if (dst_grew) {
+    cur.dst_len = dst_bytes.size();
+    cur.dst_hash = content_digest(dst_bytes);
+    cur.dst_lines += count_newlines(dst_bytes.substr(base.dst_len));
+    cur.dst_line_terminated = dst_bytes.back() == '\n';
+  }
+  if (tle_grew) {
+    cur.tle_len = tle_bytes.size();
+    cur.tle_lines += count_newlines(tle_bytes.substr(base.tle_len));
+    cur.tle_line_terminated = tle_bytes.back() == '\n';
+    cur.tle_boundary_clean = tle::append_boundary_clean(tle_bytes);
+  }
+  cur.combined_hash = content_digest(tle_bytes, cur.dst_hash);
   out.match = InputMatch::kAppend;
   return out;
 }
@@ -592,38 +639,13 @@ InputClassification classify_inputs(const IngestState& base,
 std::string snapshot_cache_path(const std::string& cache_dir,
                                 const std::string& dst_path,
                                 const std::string& tle_path) {
-  std::uint64_t hash = fnv1a(dst_path);
-  hash = fnv1a("|", hash);
-  hash = fnv1a(tle_path, hash);
+  std::uint64_t hash = content_digest(dst_path);
+  hash = content_digest("|", hash);
+  hash = content_digest(tle_path, hash);
   char name[32];
   std::snprintf(name, sizeof(name), "%016llx.cdsnap",
                 static_cast<unsigned long long>(hash));
   return (std::filesystem::path(cache_dir) / name).string();
-}
-
-std::string encode_snapshot_v2(const SnapshotData& data,
-                               diag::ParsePolicy policy) {
-  std::string payload;
-  // Rough pre-size: a TLE record serialises to ~130 bytes, a Dst hour to 8.
-  payload.reserve(128 + data.dst.size() * 8 +
-                  data.catalog.record_count() * 130);
-  encode_state(payload, data.state);
-  encode_dst(payload, data.dst);
-  encode_catalog(payload, data.catalog);
-  encode_quality(payload, data.quality);
-
-  std::string out;
-  out.reserve(kHeaderSize + payload.size());
-  out.append(kMagic, sizeof(kMagic));
-  put_u32(out, kSnapshotFormatVersionV2);
-  put_u8(out, policy_byte(policy));
-  out.append(3, '\0');
-  put_u64(out, data.state.combined_hash);
-  put_u64(out, payload.size());
-  put_u32(out, crc32(payload));
-  out.append(4, '\0');
-  out.append(payload);
-  return out;
 }
 
 std::string encode_snapshot(const SnapshotData& data, diag::ParsePolicy policy,
@@ -739,7 +761,7 @@ std::string encode_snapshot_delta(const SnapshotDelta& delta,
   out.append(3, '\0');
   put_u64(out, prev_chain_hash);
   put_u64(out, payload.size());
-  put_u32(out, crc32(payload));
+  put_u32(out, crc32c(payload));
   out.append(4, '\0');
   out.append(payload);
   return out;
@@ -747,32 +769,14 @@ std::string encode_snapshot_delta(const SnapshotDelta& delta,
 
 namespace {
 
-/// Decode a v2 (monolithic) base payload into `data`.  Returns false on
-/// any disagreement; throws (caught by the caller) on truncated fields.
-bool decode_base_v2(std::string_view payload, std::uint64_t header_content_hash,
-                    std::uint32_t payload_crc, diag::ParsePolicy policy,
-                    SnapshotData& data) {
-  // Decode only after the CRC passes: the payload readers bound-check but
-  // do not otherwise defend against bit rot.
-  if (crc32(payload) != payload_crc) return false;
-  Cursor in(payload);
-  data.state = decode_state(in);
-  if (data.state.combined_hash != header_content_hash) return false;
-  data.dst = decode_dst(in);
-  data.catalog = decode_catalog(in);
-  data.quality = decode_quality(in);
-  if (data.quality.policy != policy) return false;
-  return in.exhausted();
-}
-
-/// Decode a v3 (section-table) base payload into `data`, validating and
-/// deserialising sections over `num_threads` workers.  Returns false on
-/// any disagreement; throws (caught by the caller) on truncated fields or
-/// histories adopt_history refuses.
-bool decode_base_v3(std::string_view payload,
-                    std::uint64_t header_content_hash, std::uint32_t table_crc,
-                    std::uint32_t section_count, diag::ParsePolicy policy,
-                    int num_threads, SnapshotData& data) {
+/// Decode a base payload (section table + sections) into `data`,
+/// validating and deserialising sections over `num_threads` workers.
+/// Returns false on any disagreement; throws (caught by the caller) on
+/// truncated fields or histories adopt_history refuses.
+bool decode_base(std::string_view payload, std::uint64_t header_content_hash,
+                 std::uint32_t table_crc, std::uint32_t section_count,
+                 diag::ParsePolicy policy, int num_threads,
+                 SnapshotData& data) {
   // The table must fit the payload (a short file is a truncated section
   // table) and carry the exact sections the format demands: state, Dst,
   // zero or more catalog stripes, quality.
@@ -877,8 +881,8 @@ bool decode_base_v3(std::string_view payload,
   for (std::size_t i = 2; i + 1 < results.size(); ++i) {
     for (auto& [id, history] : results[i].satellites) {
       // adopt_history re-validates each record and the epoch ordering, and
-      // throws on a satellite already adopted — the same defences the v2
-      // per-record add() replay gave us, amortised per history.
+      // throws on a satellite already adopted — the defences of a per-
+      // record add() replay, amortised per history.
       data.catalog.adopt_history(id, std::move(history));
     }
   }
@@ -896,28 +900,22 @@ std::optional<SnapshotData> decode_snapshot(std::string_view bytes,
   try {
     Cursor header(bytes.substr(sizeof(kMagic), kHeaderSize - sizeof(kMagic)));
     const std::uint32_t version = header.u32();
-    if (version != kSnapshotFormatVersion &&
-        version != kSnapshotFormatVersionV2) {
-      return std::nullopt;
-    }
+    if (version != kSnapshotFormatVersion) return std::nullopt;
     const std::uint8_t policy_raw = header.u8();
     header.view(3);  // padding
     if (policy_raw != policy_byte(policy)) return std::nullopt;
     const std::uint64_t header_content_hash = header.u64();
     const std::uint64_t payload_size = header.u64();
-    const std::uint32_t crc_field = header.u32();
-    const std::uint32_t tail_field = header.u32();  // v3: section count
+    const std::uint32_t table_crc = header.u32();
+    const std::uint32_t section_count = header.u32();
     if (bytes.size() - kHeaderSize < payload_size) return std::nullopt;
     const std::string_view payload = bytes.substr(kHeaderSize, payload_size);
 
     SnapshotData data;
-    const bool base_ok =
-        version == kSnapshotFormatVersionV2
-            ? decode_base_v2(payload, header_content_hash, crc_field, policy,
-                             data)
-            : decode_base_v3(payload, header_content_hash, crc_field,
-                             tail_field, policy, num_threads, data);
-    if (!base_ok) return std::nullopt;
+    if (!decode_base(payload, header_content_hash, table_crc, section_count,
+                     policy, num_threads, data)) {
+      return std::nullopt;
+    }
 
     // Walk the delta chain.  Each layer's header must hash-link to the
     // header before it and carry the next 1-based index, so a missing,
@@ -931,7 +929,7 @@ std::optional<SnapshotData> decode_snapshot(std::string_view bytes,
     // Those truncate (tail_truncated) instead of rejecting.  The same
     // check failing anywhere *before* the final layer cannot come from a
     // torn append and still rejects the whole file.
-    std::uint64_t chain = fnv1a(bytes.substr(0, kHeaderSize));
+    std::uint64_t chain = content_digest(bytes.substr(0, kHeaderSize));
     std::size_t pos = kHeaderSize + payload_size;
     std::uint32_t applied = 0;
     while (pos < bytes.size()) {
@@ -960,7 +958,7 @@ std::optional<SnapshotData> decode_snapshot(std::string_view bytes,
       }
       const std::string_view layer_payload =
           bytes.substr(pos + kHeaderSize, layer_size);
-      if (crc32(layer_payload) != layer_crc) {
+      if (crc32c(layer_payload) != layer_crc) {
         const bool final_layer = pos + kHeaderSize + layer_size == bytes.size();
         if (!final_layer) return std::nullopt;  // mid-chain bit rot
         data.tail_truncated = true;  // torn inside the final payload
@@ -969,7 +967,7 @@ std::optional<SnapshotData> decode_snapshot(std::string_view bytes,
       Cursor lp(layer_payload);
       apply_delta_payload(lp, data, policy);
       if (!lp.exhausted()) return std::nullopt;
-      chain = fnv1a(layer_header);
+      chain = content_digest(layer_header);
       pos += kHeaderSize + layer_size;
       ++applied;
     }
@@ -1001,21 +999,14 @@ std::optional<SnapshotData> load_snapshot(const std::string& path,
         }
         // The warm-throughput numerator: records materialised from
         // snapshot bytes, counted whether or not the caller ends up using
-        // them.  Identical for a v2 and v3 encoding of the same data.
+        // them.
         metrics->counter("snapshot.load_records")
             .add(data->catalog.record_count());
-        // How the base was laid out on disk (v2 has no section table) —
-        // stripe sizing, not results, so a scheduling counter.
-        const std::string_view raw = mapped.view();
-        if (raw.size() >= kHeaderSize) {
-          Cursor header(
-              raw.substr(sizeof(kMagic), kHeaderSize - sizeof(kMagic)));
-          if (header.u32() == kSnapshotFormatVersion) {
-            header.view(20);  // policy + pad, content hash, payload size
-            header.u32();     // section-table CRC
-            metrics->sched_counter("snapshot.load_sections").add(header.u32());
-          }
-        }
+        // How the base was laid out on disk (header bytes 36-39; the
+        // decode above proved the header whole) — stripe sizing, not
+        // results, so a scheduling counter.
+        metrics->sched_counter("snapshot.load_sections")
+            .add(load_le32(mapped.view().data() + kSectionCountOffset));
       }
     }
     return data;

@@ -6,7 +6,7 @@
 // are append-heavy: the same prefix plus N new bytes at the end.  A
 // snapshot serialises the *parsed* artefacts — the Dst series, the TLE
 // catalog and the ingestion DataQualityReport — keyed by the inputs' byte
-// lengths and FNV-1a content hashes:
+// lengths and 64-bit content digests (content_digest below):
 //
 //   * A warm run whose inputs match exactly loads the snapshot and skips
 //     text parsing entirely (the PR 5 fast path).
@@ -25,17 +25,14 @@
 //   bytes  8-11  format version (u32)
 //   byte   12    parse policy (0 strict, 1 tolerant)
 //   bytes 13-15  zero padding
-//   bytes 16-23  FNV-1a content hash of the raw inputs (u64, dst chained
-//                into tle — the same combined hash IngestState carries)
+//   bytes 16-23  content digest of the raw inputs (u64, dst chained into
+//                tle — the same combined hash IngestState carries)
 //   bytes 24-31  base payload size in bytes (u64)
-//   bytes 32-35  v2: CRC32 of the base payload; v3: CRC32C of the section
-//                table (u32)
-//   bytes 36-39  v2: zero padding; v3: section count (u32)
-// followed by the base payload.  In v2 the payload is one monolithic
-// encoding of state + Dst + catalog + quality, integrity-checked by the
-// single header CRC.  In v3 the payload is a *section table* followed by
-// the section bytes, so a loader can validate and deserialise sections
-// independently (in parallel) and size its containers up front:
+//   bytes 32-35  CRC32C of the section table (u32)
+//   bytes 36-39  section count (u32)
+// followed by the base payload: a *section table* followed by the section
+// bytes, so a loader can validate and deserialise sections independently
+// (in parallel) and size its containers up front:
 //   table:   section count × 24-byte entries
 //              u32 kind (1 state, 2 Dst, 3 catalog stripe, 4 quality)
 //              u32 CRC32C of the section's bytes
@@ -48,18 +45,18 @@
 //            number of catalog stripes (whole satellites each, stripe
 //            boundaries fixed at encode time so the bytes are independent
 //            of writer thread count), and one quality section last.
-// Delta layers are identical in v2 and v3 files: zero or more follow the
-// base payload,
-// each a 40-byte layer header
+// Zero or more delta layers follow the base payload, each a 40-byte layer
+// header
 //   bytes  0-7   magic "CDDELTA1"
 //   bytes  8-11  1-based layer index (u32)
 //   byte   12    parse policy
 //   bytes 13-15  zero padding
-//   bytes 16-23  chain hash: FNV-1a of the previous layer's header bytes
-//                (the base header for layer 1) — out-of-order, missing or
-//                spliced layers break the chain and reject the snapshot
+//   bytes 16-23  chain hash: content digest of the previous layer's header
+//                bytes (the base header for layer 1) — out-of-order,
+//                missing or spliced layers break the chain and reject the
+//                snapshot
 //   bytes 24-31  layer payload size in bytes (u64)
-//   bytes 32-35  CRC32 of the layer payload (u32)
+//   bytes 32-35  CRC32C of the layer payload (u32)
 //   bytes 36-39  zero padding
 // followed by that layer's payload.  All integers little-endian; doubles
 // are stored as their IEEE-754 bit patterns so reload is bit-exact.
@@ -81,16 +78,12 @@ class Metrics;
 
 namespace cosmicdance::io {
 
-/// Bumped on any change to the payload encoding; a version mismatch is a
-/// silent reject-and-reparse, never a migration — except v2, which this
-/// build still *reads* (never writes) so existing caches survive the v3
-/// rollout.  v2 added the ingest state record and delta layers; v3 added
-/// the section-table payload (DESIGN.md §14, §18).
-inline constexpr std::uint32_t kSnapshotFormatVersion = 3;
-
-/// The previous monolithic-payload format, still accepted by
-/// decode_snapshot (including its delta chains).
-inline constexpr std::uint32_t kSnapshotFormatVersionV2 = 2;
+/// Bumped on any change to the payload encoding or to the digest; a
+/// version mismatch is a silent reject-and-reparse, never a migration.
+/// v2 added the ingest state record and delta layers, v3 the section-table
+/// payload (DESIGN.md §14, §18), v4 the XXH64 content digest in place of
+/// FNV-1a and CRC32C on delta layers.
+inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
 
 /// Delta layers allowed on a base before the next append compacts the
 /// whole chain back into a single base.  Small on purpose: every layer is
@@ -98,20 +91,21 @@ inline constexpr std::uint32_t kSnapshotFormatVersionV2 = 2;
 /// amortised against a full text parse.
 inline constexpr std::uint32_t kMaxSnapshotDeltaLayers = 4;
 
-/// 64-bit FNV-1a over `bytes`, chainable through `seed` to hash several
-/// buffers as one stream.
-inline constexpr std::uint64_t kFnv1aOffset = 14695981039346656037ULL;
-[[nodiscard]] std::uint64_t fnv1a(std::string_view bytes,
-                                  std::uint64_t seed = kFnv1aOffset);
+/// 64-bit content digest of `bytes` (the XXH64 algorithm: four independent
+/// lanes over 32-byte stripes, little-endian word reads, so the value is
+/// the same on every host).  Seeding with one buffer's digest chains
+/// several buffers into one identity, which is how the Dst digest keys the
+/// TLE digest and how the prefix checks for appends reuse a recorded
+/// seed.  This is the cache's *identity* key: a false exact hit would
+/// silently serve stale data, so it stays 64 bits wide and separate from
+/// the 32-bit CRC32C integrity checksum below.
+[[nodiscard]] std::uint64_t content_digest(std::string_view bytes,
+                                           std::uint64_t seed = 0);
 
-/// CRC32 (IEEE 802.3 polynomial) of `bytes` — the v2 payload and delta-
-/// layer integrity check.
-[[nodiscard]] std::uint32_t crc32(std::string_view bytes);
-
-/// CRC32C (Castagnoli polynomial) of `bytes` — the v3 section and
-/// section-table integrity check.  Uses the SSE4.2 CRC32 instruction when
-/// the cpu has it; the portable table fallback produces identical values,
-/// so files are byte-compatible across machines either way.
+/// CRC32C (Castagnoli polynomial) of `bytes` — the section, section-table
+/// and delta-layer integrity check.  Uses the SSE4.2 CRC32 instruction
+/// when the cpu has it; the portable table fallback produces identical
+/// values, so files are byte-compatible across machines either way.
 [[nodiscard]] std::uint32_t crc32c(std::string_view bytes);
 
 /// What a snapshot knows about the raw input pair it was built from —
@@ -121,13 +115,13 @@ inline constexpr std::uint64_t kFnv1aOffset = 14695981039346656037ULL;
 /// diagnostics so they cite absolute line numbers).
 struct IngestState {
   std::uint64_t dst_len = 0;    ///< Dst input size in bytes
-  std::uint64_t dst_hash = kFnv1aOffset;  ///< FNV-1a of the Dst bytes
+  std::uint64_t dst_hash = 0;   ///< content_digest of the Dst bytes
   std::uint64_t dst_lines = 0;  ///< newline count in the Dst input
   std::uint64_t tle_len = 0;    ///< TLE input size in bytes
   std::uint64_t tle_lines = 0;  ///< newline count in the TLE input
-  /// FNV-1a of the TLE bytes chained onto dst_hash — the combined content
-  /// hash of the pair (and the value in the base header).
-  std::uint64_t combined_hash = kFnv1aOffset;
+  /// content_digest of the TLE bytes seeded with dst_hash — the combined
+  /// content hash of the pair (and the value in the base header).
+  std::uint64_t combined_hash = 0;
   /// True when the input is empty or ends in '\n'.  A file that ends
   /// mid-line can have that line's meaning rewritten by an append, so
   /// growth past an unterminated prefix must reparse from scratch.
@@ -138,6 +132,8 @@ struct IngestState {
   /// against the prefix, and an append could pair it retroactively, so
   /// growth past an unclean boundary must reparse from scratch.
   bool tle_boundary_clean = true;
+
+  bool operator==(const IngestState&) const = default;
 };
 
 /// Compute the full IngestState of an input pair.
@@ -153,13 +149,18 @@ enum class InputMatch {
 
 struct InputClassification {
   InputMatch match = InputMatch::kMismatch;
-  /// State of the *current* inputs (what the next base/delta records).
+  /// State of the *current* inputs (what the next base/delta records):
+  /// `base` itself on kExact, the grown state on kAppend, unset on
+  /// kMismatch (the caller reparses and computes it from scratch).
   IngestState current;
 };
 
 /// Classify the current inputs against a snapshot's recorded state.
-/// kAppend requires every grown input to have a line-terminated (and, for
-/// TLE, pairing-clean) recorded prefix whose bytes hash identically.
+/// Lengths are compared first, so a shrunk input costs no hashing.  kExact
+/// needs equal lengths and both digests equal.  kAppend requires every
+/// grown input to have a line-terminated (and, for TLE, pairing-clean)
+/// recorded prefix whose bytes digest identically; the grown state then
+/// extends the recorded one, counting lines in the appended tails only.
 [[nodiscard]] InputClassification classify_inputs(const IngestState& base,
                                                   std::string_view dst_bytes,
                                                   std::string_view tle_bytes);
@@ -175,8 +176,8 @@ struct SnapshotData {
   IngestState state;
   /// Delta layers applied on top of the base (0 for a fresh base).
   std::uint32_t delta_layers = 0;
-  /// FNV-1a of the last layer's (or base's) header bytes — what the next
-  /// appended layer must carry as its chain hash.
+  /// content_digest of the last layer's (or base's) header bytes — what
+  /// the next appended layer must carry as its chain hash.
   std::uint64_t chain_hash = 0;
   /// True when the file ended mid-layer (a torn append: partial trailing
   /// header, short payload, or a CRC-failing *final* layer) and the torn
@@ -210,19 +211,13 @@ struct SnapshotDelta {
                                               const std::string& tle_path);
 
 /// Serialise a base snapshot (header + section table + sections, no delta
-/// layers) in the current (v3) format.  Sections are encoded into
+/// layers).  Sections are encoded into
 /// independent buffers over `num_threads` workers (the exec convention:
 /// 0 = all hardware threads, 1 = serial); stripe boundaries are a pure
 /// function of the catalog, so the bytes are identical at any value.
 [[nodiscard]] std::string encode_snapshot(const SnapshotData& data,
                                           diag::ParsePolicy policy,
                                           int num_threads = 1);
-
-/// Serialise a base snapshot in the legacy v2 monolithic-payload format.
-/// Production code never writes v2 — this exists so compatibility tests
-/// can fabricate the files a pre-v3 build would have left behind.
-[[nodiscard]] std::string encode_snapshot_v2(const SnapshotData& data,
-                                             diag::ParsePolicy policy);
 
 /// Serialise one delta layer (header + payload) for appending to a file
 /// whose last layer hashed to `prev_chain_hash`.
@@ -257,7 +252,7 @@ struct SnapshotDelta {
 /// matches the current inputs is the caller's decision (classify_inputs)
 /// — the caller bumps `snapshot.loaded` only when it actually uses the
 /// data.  A successful load adds the materialised record count to
-/// `snapshot.load_records` (the warm-throughput numerator) and the v3
+/// `snapshot.load_records` (the warm-throughput numerator) and the
 /// section count to the scheduling counter `snapshot.load_sections`.
 /// Sections are validated and deserialised over `num_threads` workers;
 /// results are bit-identical at any value.  Wall time lands in phase

@@ -49,8 +49,15 @@ class Parser {
   bool parse_value(JsonValue& out) {
     if (pos_ >= text_.size()) return false;
     switch (text_[pos_]) {
-      case '{': return parse_object(out);
-      case '[': return parse_array(out);
+      case '{':
+      case '[': {
+        if (depth_ == kMaxJsonDepth) return false;
+        ++depth_;
+        const bool ok =
+            text_[pos_] == '{' ? parse_object(out) : parse_array(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         out.kind = JsonValue::Kind::kString;
         return parse_string(out.text);
@@ -210,6 +217,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< open arrays/objects around the current value
 };
 
 }  // namespace

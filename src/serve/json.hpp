@@ -41,7 +41,14 @@ struct JsonValue {
   [[nodiscard]] std::optional<long> integer() const;
 };
 
-/// Parse one complete JSON document; nullopt on any syntax error.
+/// Deepest array/object nesting parse_json accepts.  The reader recurses
+/// once per level, and a frame may carry up to 16 MiB, so an unbounded
+/// depth lets one request of '[' bytes overflow a connection thread's
+/// stack.  Requests are flat objects; 64 levels is far past any of them.
+inline constexpr int kMaxJsonDepth = 64;
+
+/// Parse one complete JSON document; nullopt on any syntax error or on
+/// nesting deeper than kMaxJsonDepth.
 [[nodiscard]] std::optional<JsonValue> parse_json(std::string_view text);
 
 /// Escape `text` for embedding inside a JSON string literal (quotes not

@@ -447,7 +447,9 @@ HandleResult Service::handle(std::string_view request) {
   const auto parsed = parse_json(request);
   if (!parsed || parsed->kind != JsonValue::Kind::kObject) {
     obs::bump(errors_);
-    return {error_response("request must be a JSON object"), false};
+    return {error_response("request must be a JSON object nested at most " +
+                           std::to_string(kMaxJsonDepth) + " levels deep"),
+            false};
   }
   const JsonValue* op_value = parsed->find("op");
   if (op_value == nullptr || op_value->kind != JsonValue::Kind::kString) {

@@ -131,6 +131,26 @@ TEST(ServeJsonTest, EscapeRoundTripsThroughTheParser) {
   EXPECT_EQ(parsed->text, raw);
 }
 
+TEST(ServeJsonTest, NestingDepthIsBounded) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_TRUE(serve::parse_json(nested(serve::kMaxJsonDepth)).has_value());
+  EXPECT_FALSE(
+      serve::parse_json(nested(serve::kMaxJsonDepth + 1)).has_value());
+  // Objects count toward the same bound as arrays.
+  std::string objects;
+  for (int i = 0; i <= serve::kMaxJsonDepth; ++i) objects += "{\"a\":";
+  objects += "0" + std::string(serve::kMaxJsonDepth + 1, '}');
+  EXPECT_FALSE(serve::parse_json(objects).has_value());
+  // Depth is nesting, not count: many siblings at depth 1 are fine.
+  std::string siblings = "[";
+  for (int i = 0; i < 1000; ++i) siblings += "[],";
+  siblings += "[]]";
+  EXPECT_TRUE(serve::parse_json(siblings).has_value());
+}
+
 // ---- service fixtures -------------------------------------------------------
 
 tle::Tle make_tle(int catalog_number, double epoch_offset_days) {
@@ -230,7 +250,7 @@ TEST(ServeServiceTest, BadRequestsGetErrorResponsesNotCrashes) {
   serve::Service service(make_pipeline(5), [] { return make_pipeline(5); },
                          &metrics);
 
-  const char* bad_requests[] = {
+  const std::string bad_requests[] = {
       "not json at all",
       "",
       "[1,2,3]",
@@ -243,8 +263,11 @@ TEST(ServeServiceTest, BadRequestsGetErrorResponsesNotCrashes) {
       "{\"op\":\"envelope_cdf\",\"percentile\":150}",
       "{\"op\":\"envelope_cdf\",\"points\":0}",
       "{\"op\":\"storm_summary\",\"threshold\":\"deep\"}",
+      // 64 KiB of '[': past kMaxJsonDepth, so rejected before the
+      // recursive reader can exhaust the handling thread's stack.
+      std::string(65536, '['),
   };
-  for (const char* request : bad_requests) {
+  for (const std::string& request : bad_requests) {
     const auto result = service.handle(request);
     EXPECT_FALSE(result.shutdown);
     const serve::JsonValue body = response_json(result.response);
@@ -383,6 +406,26 @@ TEST(ServeServerTest, LoopbackRoundTripsEveryOp) {
   // same client keeps working afterwards.
   EXPECT_FALSE(ok_field(response_json(client.request("garbage"))));
   EXPECT_TRUE(ok_field(response_json(client.request("{\"op\":\"ping\"}"))));
+
+  server.shutdown();
+}
+
+TEST(ServeServerTest, NestingFloodGetsAnErrorFrameAndTheDaemonKeepsServing) {
+  obs::Metrics metrics;
+  serve::Service service(make_pipeline(5), {}, &metrics);
+  serve::Server server(service, "127.0.0.1", 0);
+  server.start();
+
+  serve::Client client("127.0.0.1", server.port());
+  const serve::JsonValue flood =
+      response_json(client.request(std::string(65536, '[')));
+  EXPECT_FALSE(ok_field(flood));
+  EXPECT_NE(flood.find("error"), nullptr);
+  // Same connection, then a fresh one: both still answered.
+  EXPECT_TRUE(ok_field(response_json(client.request("{\"op\":\"ping\"}"))));
+  serve::Client second("127.0.0.1", server.port());
+  EXPECT_TRUE(ok_field(response_json(second.request("{\"op\":\"ping\"}"))));
+  EXPECT_EQ(metrics.snapshot().counters.at("serve.errors"), 1u);
 
   server.shutdown();
 }

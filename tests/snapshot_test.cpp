@@ -284,8 +284,9 @@ TEST(SnapshotTest, MappedAndFallbackReadersAreByteIdentical) {
   from_fallback.add_from_text(fallback.view());
   EXPECT_EQ(from_mapped.to_text(), from_fallback.to_text());
 
-  // The content hash — the cache key — must agree across readers too.
-  EXPECT_EQ(io::fnv1a(mapped.view()), io::fnv1a(fallback.view()));
+  // The content digest — the cache key — must agree across readers too.
+  EXPECT_EQ(io::content_digest(mapped.view()),
+            io::content_digest(fallback.view()));
 }
 
 // ---- failure matrix ---------------------------------------------------------
@@ -306,7 +307,7 @@ TEST(SnapshotTest, FlippedCrcHeaderByteFallsBack) {
                              [](const TestInputs& t) {
                                std::string bytes = io::read_file(t.snapshot_path());
                                ASSERT_GT(bytes.size(), 35u);
-                               bytes[32] ^= 0x01;  // CRC32 field, bytes 32-35
+                               bytes[32] ^= 0x01;  // CRC32C field, bytes 32-35
                                io::write_file(t.snapshot_path(), bytes);
                              });
 }
@@ -674,74 +675,130 @@ TEST(SnapshotV3Test, StaleContentHashRejects) {
   EXPECT_FALSE(io::decode_snapshot(bytes, ParsePolicy::kStrict).has_value());
 }
 
-// ---- v2 compatibility -------------------------------------------------------
+// ---- caches from earlier formats -------------------------------------------
 
-TEST(SnapshotV2Compat, V2BytesDecodeIdenticallyToV3) {
-  const io::SnapshotData data = make_snapshot_data(12, ParsePolicy::kTolerant);
-  const std::string v2 = io::encode_snapshot_v2(data, ParsePolicy::kTolerant);
-  const std::string v3 = io::encode_snapshot(data, ParsePolicy::kTolerant, 4);
-  ASSERT_NE(v2, v3);
-  const std::optional<io::SnapshotData> from_v2 =
-      io::decode_snapshot(v2, ParsePolicy::kTolerant);
-  const std::optional<io::SnapshotData> from_v3 =
-      io::decode_snapshot(v3, ParsePolicy::kTolerant, 4);
-  ASSERT_TRUE(from_v2.has_value());
-  ASSERT_TRUE(from_v3.has_value());
-  expect_same_decoded(*from_v2, *from_v3);
-  expect_same_decoded(*from_v2, data);
+/// Restamp a snapshot file's format version (header bytes 8-11).  The
+/// decoder rejects on that field before it reads anything else, so the
+/// restamped file stands for any cache an earlier build left behind.
+void restamp_version(const std::string& path, std::uint32_t version) {
+  std::string bytes = io::read_file(path);
+  ASSERT_GT(bytes.size(), 11u);
+  write_u32(bytes, 8, version);
+  io::write_file(path, bytes);
 }
 
-TEST(SnapshotV2Compat, PipelineServesWarmAndDeltaHitsFromAV2File) {
-  // A cache written by the previous release: fabricate the v2 file at the
-  // exact path the pipeline will probe.
-  const TestInputs inputs = write_inputs("v2_compat", tle_corpus(6));
-  const std::string tle_text = io::read_file(inputs.tle_path);
-  const std::string wdc_text = io::read_file(inputs.dst_path);
-  diag::ParseLog log(ParsePolicy::kStrict);
-  spaceweather::DstIndex dst =
-      spaceweather::from_wdc(wdc_text, &log, inputs.dst_path);
-  tle::TleCatalog catalog;
-  catalog.add_from_text(tle_text, tle::IngestOptions{&log, 1, inputs.tle_path});
-  const io::SnapshotData data{std::move(dst), std::move(catalog), log.report(),
-                              io::ingest_state_of(wdc_text, tle_text), 0, 0};
-  std::filesystem::create_directories(inputs.cache_dir);
-  io::write_file(inputs.snapshot_path(),
-                 io::encode_snapshot_v2(data, ParsePolicy::kStrict));
+TEST(SnapshotV2Compat, V2FileRejectsReparsesAndIsRewrittenAsCurrent) {
+  // A v2 cache carries FNV-1a hashes that can never match today's digest,
+  // so it must reject once, reparse bit-identically and be replaced.
+  const TestInputs inputs = write_inputs("v2_file", tle_corpus(6));
+  expect_reject_and_fallback(inputs, ParsePolicy::kStrict,
+                             [](const TestInputs& t) {
+                               restamp_version(t.snapshot_path(), 2);
+                             });
+  EXPECT_EQ(read_u32(io::read_file(inputs.snapshot_path()), 8),
+            io::kSnapshotFormatVersion);
+}
 
-  // Warm hit straight off the v2 base.
-  obs::Metrics warm_run;
-  const RunOutput warm =
-      run_pipeline(inputs, ParsePolicy::kStrict, 1, /*use_cache=*/true,
-                   &warm_run);
-  EXPECT_EQ(counter(warm_run, "ingest.cache_hit"), 1u);
-  EXPECT_EQ(counter(warm_run, "snapshot.rejected"), 0u);
-  expect_identical(warm,
-                   run_pipeline(inputs, ParsePolicy::kStrict, 1,
-                                /*use_cache=*/false));
+TEST(SnapshotDigestTest, V3FileFromThePreviousFormatRejectsOnceAndIsRewritten) {
+  const TestInputs inputs = write_inputs("v3_file", tle_corpus(6));
+  expect_reject_and_fallback(inputs, ParsePolicy::kTolerant,
+                             [](const TestInputs& t) {
+                               restamp_version(t.snapshot_path(), 3);
+                             });
+  EXPECT_EQ(read_u32(io::read_file(inputs.snapshot_path()), 8),
+            io::kSnapshotFormatVersion);
+}
 
-  // Appending records must ride the delta path on top of the v2 base, and
-  // the resulting v2+delta chain must serve the next warm hit.
-  std::string tail;
-  for (int i = 0; i < 3; ++i) {
-    const tle::TleLines lines = tle::format_tle(make_tle(30001 + i, 10.0 + i));
-    tail += lines.line1 + "\n" + lines.line2 + "\n";
+// ---- content digest ---------------------------------------------------------
+
+TEST(SnapshotDigestTest, MatchesTheXxh64KnownAnswers) {
+  EXPECT_EQ(io::content_digest(""), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(io::content_digest("abc"), 0x44BC2CF5AD770999ULL);
+  // Longer vectors reach the 4- and 8-byte tails and the 32-byte stripes.
+  EXPECT_EQ(io::content_digest("message digest"), 0x066ED728FCEEB3BEULL);
+  EXPECT_EQ(io::content_digest("abcdefghijklmnopqrstuvwxyz"),
+            0xCFE1F278FA89835CULL);
+  EXPECT_EQ(io::content_digest("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrs"
+                               "tuvwxyz0123456789"),
+            0xAAA46907D3047814ULL);
+  EXPECT_EQ(io::content_digest(std::string(
+                "1234567890123456789012345678901234567890"
+                "1234567890123456789012345678901234567890")),
+            0xE04A477F19EE145DULL);
+}
+
+TEST(SnapshotDigestTest, SeedsChainBuffersIntoOneIdentity) {
+  const std::string dst = wdc_corpus();
+  const std::string tle = tle_corpus(3);
+  const io::IngestState state = io::ingest_state_of(dst, tle);
+  EXPECT_EQ(state.dst_hash, io::content_digest(dst));
+  EXPECT_EQ(state.combined_hash,
+            io::content_digest(tle, io::content_digest(dst)));
+  // The seed is part of the identity: the same TLE bytes behind different
+  // Dst bytes (or none) digest differently, as does a one-byte edit.
+  EXPECT_NE(io::content_digest(tle, 1), io::content_digest(tle, 2));
+  EXPECT_NE(state.combined_hash, io::content_digest(tle));
+  std::string edited = tle;
+  edited[edited.size() / 2] ^= 0x01;
+  EXPECT_NE(io::content_digest(edited, state.dst_hash), state.combined_hash);
+}
+
+/// Random text from TLE-shaped and other lines, with LF or CRLF endings,
+/// blank lines, and (sometimes) no final newline.
+std::string random_text(Rng& rng) {
+  const std::string corpus = tle_corpus(2);
+  const std::string line1 = corpus.substr(0, corpus.find('\n'));
+  const std::string line2 = corpus.substr(line1.size() + 1, 69);
+  const std::string pieces[] = {line1, line2, "", "noise", "2 garbage"};
+  std::string text;
+  const std::int64_t lines = rng.uniform_int(0, 12);
+  for (std::int64_t i = 0; i < lines; ++i) {
+    text += pieces[static_cast<std::size_t>(rng.uniform_int(0, 4))];
+    text += rng.uniform_int(0, 1) == 0 ? "\n" : "\r\n";
   }
-  io::append_file(inputs.tle_path, tail);
-  obs::Metrics delta_run;
-  const RunOutput delta =
-      run_pipeline(inputs, ParsePolicy::kStrict, 1, /*use_cache=*/true,
-                   &delta_run);
-  EXPECT_EQ(counter(delta_run, "ingest.delta_hit"), 1u);
-  EXPECT_EQ(counter(delta_run, "snapshot.delta_written"), 1u);
-  obs::Metrics chain_run;
-  const RunOutput chained =
-      run_pipeline(inputs, ParsePolicy::kStrict, 1, /*use_cache=*/true,
-                   &chain_run);
-  EXPECT_EQ(counter(chain_run, "ingest.cache_hit"), 1u);
-  const RunOutput reparsed =
-      run_pipeline(inputs, ParsePolicy::kStrict, 1, /*use_cache=*/false);
-  expect_identical(delta, reparsed);
-  expect_identical(chained, reparsed);
+  if (!text.empty() && rng.uniform_int(0, 2) == 0) text.pop_back();
+  return text;
+}
+
+TEST(SnapshotDigestTest, ClassifyIsExactOnItsOwnStateAndAppendsExtendIt) {
+  Rng rng(20261018);
+  for (int i = 0; i < 300; ++i) {
+    const std::string dst = random_text(rng);
+    const std::string tle = random_text(rng);
+    const io::IngestState state = io::ingest_state_of(dst, tle);
+    const io::InputClassification exact =
+        io::classify_inputs(state, dst, tle);
+    EXPECT_EQ(exact.match, io::InputMatch::kExact) << "case " << i;
+    EXPECT_TRUE(exact.current == state) << "case " << i;
+
+    // Any prefix pair of the same inputs: an append exactly when something
+    // grew past a boundary that is safe to extend, and then the extended
+    // state equals the state computed from scratch.
+    const auto dst_cut = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(dst.size())));
+    const auto tle_cut = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(tle.size())));
+    const io::IngestState prefix = io::ingest_state_of(
+        std::string_view(dst).substr(0, dst_cut),
+        std::string_view(tle).substr(0, tle_cut));
+    const bool dst_grew = dst_cut < dst.size();
+    const bool tle_grew = tle_cut < tle.size();
+    const bool appendable =
+        (dst_grew || tle_grew) &&
+        (!dst_grew || prefix.dst_line_terminated) &&
+        (!tle_grew ||
+         (prefix.tle_line_terminated && prefix.tle_boundary_clean));
+    const io::InputClassification grown =
+        io::classify_inputs(prefix, dst, tle);
+    if (!dst_grew && !tle_grew) {
+      EXPECT_EQ(grown.match, io::InputMatch::kExact) << "case " << i;
+    } else if (appendable) {
+      EXPECT_EQ(grown.match, io::InputMatch::kAppend) << "case " << i;
+      EXPECT_TRUE(grown.current == state) << "case " << i;
+    } else {
+      EXPECT_EQ(grown.match, io::InputMatch::kMismatch) << "case " << i;
+    }
+  }
 }
 
 // ---- counters and the background save ---------------------------------------
@@ -793,23 +850,22 @@ TEST(SnapshotPipeline, BackgroundSaveCompletesOnWait) {
 
 // ---- checksum reference -----------------------------------------------------
 
-/// Textbook reflected bit-at-a-time CRC-32 — the definition both
+/// Textbook reflected bit-at-a-time CRC-32C — the definition both
 /// production implementations (slice-by-8 tables, SSE4.2 instruction)
 /// must reproduce exactly.
-std::uint32_t crc_reference(std::string_view bytes, std::uint32_t polynomial) {
+std::uint32_t crc32c_reference(std::string_view bytes) {
   std::uint32_t crc = 0xFFFFFFFFu;
   for (const char byte : bytes) {
     crc ^= static_cast<unsigned char>(byte);
     for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc & 1u) != 0 ? polynomial ^ (crc >> 1) : crc >> 1;
+      crc = (crc & 1u) != 0 ? 0x82F63B78u ^ (crc >> 1) : crc >> 1;
     }
   }
   return crc ^ 0xFFFFFFFFu;
 }
 
-TEST(SnapshotCrc, Crc32AndCrc32cMatchTheBitwiseReference) {
-  // Known-answer vectors first ("123456789" is the standard check input).
-  EXPECT_EQ(io::crc32("123456789"), 0xCBF43926u);
+TEST(SnapshotCrc, Crc32cMatchesTheBitwiseReference) {
+  // Known-answer vector first ("123456789" is the standard check input).
   EXPECT_EQ(io::crc32c("123456789"), 0xE3069283u);
 
   // Then every length 0..129 with deterministic pseudo-random content, so
@@ -820,9 +876,7 @@ TEST(SnapshotCrc, Crc32AndCrc32cMatchTheBitwiseReference) {
     for (char& c : bytes) {
       c = static_cast<char>(rng.uniform_int(0, 255));
     }
-    EXPECT_EQ(io::crc32(bytes), crc_reference(bytes, 0xEDB88320u))
-        << "crc32 mismatch at length " << length;
-    EXPECT_EQ(io::crc32c(bytes), crc_reference(bytes, 0x82F63B78u))
+    EXPECT_EQ(io::crc32c(bytes), crc32c_reference(bytes))
         << "crc32c mismatch at length " << length;
   }
 }

@@ -10,7 +10,9 @@
 #      driving the malformed-record corpus through both parse policies so
 #      buffer overreads in the fixed-column parsers surface here, and the
 #      delta-snapshot differential suite so the incremental path's chain
-#      walking and replay run under the same lens.
+#      walking and replay run under the same lens, and the serve suite so
+#      hostile requests (a JSON nesting flood, garbage frames) that would
+#      smash a stack or overread a buffer in the daemon fail the gate.
 #   4. observability smoke: the CLI with --metrics/--trace on the bundled
 #      dataset (work counters must be bit-identical at --threads 1 vs 8,
 #      per DESIGN.md §11) plus the micro_pipeline, micro_ingest and
@@ -75,15 +77,18 @@ cmake -B build-asan -S . -DCOSMICDANCE_SANITIZE=address
 cmake --build build-asan -j "$JOBS" \
       --target ingestion_fuzz_test diag_test io_test tle_test tle2_test \
                timeutil_test spaceweather_test snapshot_test \
-               delta_snapshot_test
+               delta_snapshot_test serve_test
 # The fuzz suite feeds truncated / corrupted fixed-column records through
 # every ingestion path; ASan+UBSan turns any column overread into a failure.
 # snapshot_test drives the corrupted-snapshot failure matrix (truncation,
 # bit flips, stale hashes) through the binary decoder under the same lens;
 # delta_snapshot_test does the same for the append-aware incremental path
 # (broken layer chains, forged appends, the append/compact fuzz loop).
+# serve_test drives hostile requests (garbage frames, a 64 KiB nesting
+# flood) through the JSON reader, the service and the loopback daemon, so
+# a stack overflow or overread in the request path fails here.
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-      -R 'IngestionFuzz|Diag|ParseLog|DataQualityReport|Csv|Tle|DateTime|Wdc|Snapshot|DeltaSnapshot'
+      -R 'IngestionFuzz|Diag|ParseLog|DataQualityReport|Csv|Tle|DateTime|Wdc|Snapshot|DeltaSnapshot|Serve'
 
 echo "== pass 4: observability smoke (CLI metrics/trace + bench telemetry) =="
 CLI=build/tools/cosmicdance

@@ -3,17 +3,10 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/json.hpp"
+
 namespace cosmicdance::obs {
 namespace {
-
-/// JSON-safe number: round-trippable for finite values, null otherwise
-/// (NaN/Inf are not valid JSON tokens).
-std::string json_number(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
-}
 
 /// Fixed-precision milliseconds (microsecond resolution) for readability.
 std::string json_ms(double ms) {
@@ -21,29 +14,6 @@ std::string json_ms(double ms) {
   char buffer[40];
   std::snprintf(buffer, sizeof(buffer), "%.3f", ms);
   return buffer;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 void append_count_object(std::string& out, const char* key,
@@ -55,7 +25,7 @@ void append_count_object(std::string& out, const char* key,
   for (const auto& [name, value] : values) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + json_escape(name) + "\": " + std::to_string(value);
+    out += "    \"" + escape_json(name) + "\": " + std::to_string(value);
   }
   out += values.empty() ? "}" : "\n  }";
 }
@@ -72,7 +42,7 @@ std::string MetricsReport::to_json() const {
   for (const auto& [name, value] : gauges) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + json_escape(name) + "\": " + json_number(value);
+    out += "    \"" + escape_json(name) + "\": " + json_number(value);
   }
   out += gauges.empty() ? "}" : "\n  }";
   out += ",\n  \"phases\": {";
@@ -80,7 +50,7 @@ std::string MetricsReport::to_json() const {
   for (const auto& [name, stats] : phases) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + json_escape(name) +
+    out += "    \"" + escape_json(name) +
            "\": {\"calls\": " + std::to_string(stats.calls) +
            ", \"wall_ms\": " + json_ms(stats.total_ms) + "}";
   }
@@ -179,7 +149,7 @@ std::string Metrics::trace_json() const {
       "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, "
       "\"args\": {\"name\": \"cosmicdance\"}}";
   for (const TraceSpan& span : spans_) {
-    out += ",\n  {\"name\": \"" + json_escape(span.name) +
+    out += ",\n  {\"name\": \"" + escape_json(span.name) +
            "\", \"cat\": \"cosmicdance\", \"ph\": \"X\", \"ts\": " +
            std::to_string(span.begin_us) +
            ", \"dur\": " + std::to_string(span.duration_us) +

@@ -1,9 +1,5 @@
 #include "serve/json.hpp"
 
-#include <cctype>
-#include <cmath>
-#include <cstdio>
-
 #include "io/parse.hpp"
 
 namespace cosmicdance::serve {
@@ -242,39 +238,6 @@ std::optional<long> JsonValue::integer() const {
 
 std::optional<JsonValue> parse_json(std::string_view text) {
   return Parser(text).run();
-}
-
-std::string escape_json(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buffer;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_number(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
 }
 
 }  // namespace cosmicdance::serve

@@ -1,13 +1,13 @@
-// Minimal strict JSON reading/writing for the serving wire protocol.
+// The project's one JSON reader, plus the serve-namespace names of the
+// shared writer (common/json.hpp).
 //
 // The daemon's requests and responses are small JSON documents inside
-// length-prefixed frames (wire.hpp).  This header gives the serve layer a
-// dependency-free reader (strict: the whole payload must be one well-formed
-// value, trailing garbage is an error) and the escaping/formatting helpers
-// the response builders need.  Numbers are validated against the JSON
-// grammar during the parse but kept as raw tokens; conversion goes through
-// the checked io::parse_* helpers, keeping this file inside the project's
-// raw-parse rule (cdlint R3).
+// length-prefixed frames (wire.hpp); the tests validate every JSON the
+// project emits through this same reader.  It is strict: the whole payload
+// must be one well-formed value, and trailing garbage is an error.  Numbers
+// are validated against the JSON grammar during the parse but kept as raw
+// tokens; conversion goes through the checked io::parse_* helpers, keeping
+// this file inside the project's raw-parse rule (cdlint R3).
 #pragma once
 
 #include <optional>
@@ -16,7 +16,12 @@
 #include <utility>
 #include <vector>
 
+#include "common/json.hpp"
+
 namespace cosmicdance::serve {
+
+using cosmicdance::escape_json;
+using cosmicdance::json_number;
 
 /// One parsed JSON value.  Objects keep insertion order (no hashing, so
 /// iteration is deterministic); lookups are linear, which is fine at
@@ -50,13 +55,5 @@ inline constexpr int kMaxJsonDepth = 64;
 /// Parse one complete JSON document; nullopt on any syntax error or on
 /// nesting deeper than kMaxJsonDepth.
 [[nodiscard]] std::optional<JsonValue> parse_json(std::string_view text);
-
-/// Escape `text` for embedding inside a JSON string literal (quotes not
-/// included).  Control characters become \u00XX.
-[[nodiscard]] std::string escape_json(std::string_view text);
-
-/// Format a double as a JSON number token that round-trips bit-exactly
-/// (%.17g), mapping non-finite values to null (JSON has no NaN/Inf).
-[[nodiscard]] std::string json_number(double value);
 
 }  // namespace cosmicdance::serve

@@ -1,18 +1,20 @@
-// The cosmicdanced query service: an immutable, atomically-swapped pipeline
+// The cosmicdanced query service: an immutable, swapped-whole pipeline
 // snapshot plus the request router that answers queries against it.
 //
-// Concurrency model (DESIGN.md §15): readers never block and never lock.
+// Concurrency model (DESIGN.md §15): readers never wait on a rebuild.
 // The entire queryable state — Dst series, catalog, cleaned tracks,
 // correlator — lives inside one `core::CosmicDance` owned by an immutable
-// ServeSnapshot behind a `std::atomic<std::shared_ptr<const ServeSnapshot>>`.
-// A request handler loads the pointer exactly once, builds its whole
-// response from that object, and releases it; a concurrent reload builds
-// the replacement pipeline entirely off to the side and swaps the pointer
-// in one atomic store.  In-flight requests keep the old snapshot alive
-// through their shared_ptr until the response is written, so a reader sees
-// either the old epoch or the new one — never a mix.  Every response
-// carries the snapshot's epoch twice ("epoch" first, "epoch_end" last):
-// equal values are the wire-visible proof that no swap tore the response.
+// ServeSnapshot behind a `std::shared_ptr<const ServeSnapshot>` slot.  The
+// slot's mutex is held only to copy or replace that pointer, never across
+// a rebuild or a response.  A request handler copies the pointer exactly
+// once, builds its whole response from that object, and releases it; a
+// concurrent reload builds the replacement pipeline entirely off to the
+// side and then swaps the pointer in.  In-flight requests keep the old
+// snapshot alive through their shared_ptr until the response is written,
+// so a reader sees either the old epoch or the new one — never a mix.
+// Every response carries the snapshot's epoch twice ("epoch" first,
+// "epoch_end" last): equal values are the wire-visible proof that no swap
+// tore the response.
 //
 // The pipeline's const surface is safe to share: track median caches are
 // warmed eagerly by the CosmicDance constructor, correlator scans draw from
@@ -20,7 +22,6 @@
 // from many request threads at once), and everything else is pure reads.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -84,8 +85,9 @@ class Service {
   std::uint64_t reload();
 
  private:
-  std::atomic<std::shared_ptr<const ServeSnapshot>> slot_;
-  std::mutex reload_mutex_;
+  mutable std::mutex slot_mutex_;  ///< held only to copy or swap slot_
+  std::shared_ptr<const ServeSnapshot> slot_;
+  std::mutex reload_mutex_;  ///< serialises rebuilds; readers never take it
   Rebuild rebuild_;
   obs::Metrics* metrics_;
   obs::Counter* requests_ = nullptr;

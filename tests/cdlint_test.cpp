@@ -4,7 +4,6 @@
 #include <sys/wait.h>
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -15,9 +14,11 @@
 
 #include <gtest/gtest.h>
 
-#include "support/minijson.hpp"
+#include "serve/json.hpp"
 
 namespace {
+
+namespace serve = cosmicdance::serve;
 
 struct RunResult {
   int exit_code = -1;
@@ -75,39 +76,39 @@ TEST(CdlintTest, CorpusJsonIsValidAndCoversEveryRule) {
   const RunResult result = run_command(quoted(kBinary) + " --root " +
                                        quoted(kCorpusRoot) + " --json");
   EXPECT_EQ(result.exit_code, 1);
-  const auto doc = minijson::parse(result.output);
+  const auto doc = serve::parse_json(result.output);
   ASSERT_TRUE(doc.has_value()) << "cdlint --json emitted invalid JSON:\n"
                                << result.output;
-  ASSERT_EQ(doc->kind, minijson::Value::Kind::kObject);
+  ASSERT_EQ(doc->kind, serve::JsonValue::Kind::kObject);
 
-  const minijson::Value* findings = doc->find("findings");
+  const serve::JsonValue* findings = doc->find("findings");
   ASSERT_NE(findings, nullptr);
-  ASSERT_EQ(findings->kind, minijson::Value::Kind::kArray);
+  ASSERT_EQ(findings->kind, serve::JsonValue::Kind::kArray);
 
   // The JSON view must agree with the golden text view line for line.
   const std::size_t golden_lines = count_lines(read_file(kGoldenPath));
   EXPECT_EQ(findings->items.size(), golden_lines);
-  const minijson::Value* count = doc->find("count");
+  const serve::JsonValue* count = doc->find("count");
   ASSERT_NE(count, nullptr);
   EXPECT_EQ(count->text, std::to_string(golden_lines));
-  const minijson::Value* baselined = doc->find("baselined");
+  const serve::JsonValue* baselined = doc->find("baselined");
   ASSERT_NE(baselined, nullptr);
   EXPECT_EQ(baselined->text, "0");
 
   // Every rule -- including the allow-reason meta rule -- must stay live in
   // the corpus, or a silently dead rule could rot unnoticed.
   std::set<std::string> rules_seen;
-  for (const minijson::Value& finding : findings->items) {
-    ASSERT_EQ(finding.kind, minijson::Value::Kind::kObject);
-    const minijson::Value* file = finding.find("file");
-    const minijson::Value* line = finding.find("line");
-    const minijson::Value* rule = finding.find("rule");
-    const minijson::Value* message = finding.find("message");
+  for (const serve::JsonValue& finding : findings->items) {
+    ASSERT_EQ(finding.kind, serve::JsonValue::Kind::kObject);
+    const serve::JsonValue* file = finding.find("file");
+    const serve::JsonValue* line = finding.find("line");
+    const serve::JsonValue* rule = finding.find("rule");
+    const serve::JsonValue* message = finding.find("message");
     ASSERT_NE(file, nullptr);
     ASSERT_NE(line, nullptr);
     ASSERT_NE(rule, nullptr);
     ASSERT_NE(message, nullptr);
-    EXPECT_EQ(line->kind, minijson::Value::Kind::kNumber);
+    EXPECT_EQ(line->kind, serve::JsonValue::Kind::kNumber);
     EXPECT_FALSE(message->text.empty());
     rules_seen.insert(rule->text);
   }
@@ -193,18 +194,15 @@ TEST(CdlintTest, JsonFindingsAreSortedRegardlessOfDirOrder) {
                                        quoted(kCorpusRoot) +
                                        " --json tests src");
   EXPECT_EQ(result.exit_code, 1);
-  const auto doc = minijson::parse(result.output);
+  const auto doc = serve::parse_json(result.output);
   ASSERT_TRUE(doc.has_value());
-  const minijson::Value* findings = doc->find("findings");
+  const serve::JsonValue* findings = doc->find("findings");
   ASSERT_NE(findings, nullptr);
   ASSERT_GT(findings->items.size(), 1u);
   std::vector<std::tuple<std::string, long, std::string>> keys;
-  for (const minijson::Value& finding : findings->items) {
-    const std::string& line_text = finding.find("line")->text;
-    long line_number = 0;
-    std::from_chars(line_text.data(), line_text.data() + line_text.size(),
-                    line_number);
-    keys.emplace_back(finding.find("file")->text, line_number,
+  for (const serve::JsonValue& finding : findings->items) {
+    keys.emplace_back(finding.find("file")->text,
+                      finding.find("line")->integer().value_or(-1),
                       finding.find("rule")->text);
   }
   EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()))

@@ -9,6 +9,7 @@
 
 #include "common/error.hpp"
 #include "diag/diag.hpp"
+#include "serve/json.hpp"
 
 namespace cosmicdance::diag {
 namespace {
@@ -177,13 +178,31 @@ TEST(DataQualityReportTest, SummaryRowsCoverEveryStageAndCategory) {
 
 TEST(DataQualityReportTest, JsonEscapesAndContainsEverything) {
   const std::string json = sample_log().report().to_json();
-  EXPECT_NE(json.find("\"policy\": \"tolerant\""), std::string::npos);
-  EXPECT_NE(json.find("\"tle\""), std::string::npos);
-  EXPECT_NE(json.find("\"accepted\": 10"), std::string::npos);
-  EXPECT_NE(json.find("\"repaired\": 24"), std::string::npos);
-  // The embedded quotes in the message must be escaped.
-  EXPECT_NE(json.find("checksum \\\"mismatch\\\""), std::string::npos);
-  EXPECT_EQ(json.find("checksum \"mismatch\""), std::string::npos);
+  const auto doc = serve::parse_json(json);
+  ASSERT_TRUE(doc.has_value()) << "to_json emitted invalid JSON:\n" << json;
+  ASSERT_NE(doc->find("policy"), nullptr);
+  EXPECT_EQ(doc->find("policy")->text, "tolerant");
+
+  const serve::JsonValue* stages = doc->find("stages");
+  ASSERT_NE(stages, nullptr);
+  ASSERT_NE(stages->find("tle"), nullptr);
+  ASSERT_NE(stages->find("wdc"), nullptr);
+  EXPECT_EQ(stages->find("tle")->find("accepted")->integer(), 10);
+  EXPECT_EQ(stages->find("wdc")->find("repaired")->integer(), 24);
+  EXPECT_EQ(stages->find("tle")->find("quarantined")->find("checksum")->integer(),
+            1);
+
+  const serve::JsonValue* quarantined = doc->find("quarantined");
+  ASSERT_NE(quarantined, nullptr);
+  ASSERT_EQ(quarantined->items.size(), 1u);
+  const serve::JsonValue& record = quarantined->items[0];
+  ASSERT_NE(record.find("message"), nullptr);
+  // The embedded quotes survive the escape and decode back verbatim.
+  EXPECT_EQ(record.find("message")->text, "checksum \"mismatch\"");
+  EXPECT_EQ(record.find("source")->text, "catalog.tle");
+  EXPECT_EQ(record.find("line")->integer(), 3);
+  EXPECT_EQ(record.find("category")->text, "checksum");
+  EXPECT_EQ(record.find("snippet")->text, "1 25544U junk");
 }
 
 TEST(DataQualityReportTest, PrintSummarisesCountsAndRecords) {

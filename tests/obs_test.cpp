@@ -17,10 +17,10 @@
 #include "io/csv.hpp"
 #include "io/file.hpp"
 #include "obs/obs.hpp"
+#include "serve/json.hpp"
 #include "simulation/scenario.hpp"
 #include "spaceweather/generator.hpp"
 #include "spaceweather/wdc.hpp"
-#include "support/minijson.hpp"
 #include "timeutil/datetime.hpp"
 #include "tle/tle.hpp"
 
@@ -270,17 +270,17 @@ TEST(ObsExporterEscapingTest, ToJsonSurvivesHostileNames) {
                        begin + std::chrono::milliseconds(1));
 
   const std::string json = metrics.snapshot().to_json();
-  const auto doc = minijson::parse(json);
+  const auto doc = serve::parse_json(json);
   ASSERT_TRUE(doc.has_value()) << "to_json emitted invalid JSON:\n" << json;
 
-  const minijson::Value* counters = doc->find("counters");
+  const serve::JsonValue* counters = doc->find("counters");
   ASSERT_NE(counters, nullptr);
   EXPECT_NE(counters->find(quote_name), nullptr) << "quote name lost";
   EXPECT_NE(counters->find(slash_name), nullptr) << "backslash name lost";
-  const minijson::Value* gauges = doc->find("gauges");
+  const serve::JsonValue* gauges = doc->find("gauges");
   ASSERT_NE(gauges, nullptr);
   EXPECT_NE(gauges->find(ctrl_name), nullptr) << "control-char name lost";
-  const minijson::Value* phases = doc->find("phases");
+  const serve::JsonValue* phases = doc->find("phases");
   ASSERT_NE(phases, nullptr);
   EXPECT_NE(phases->find(multiline_name), nullptr) << "newline name lost";
 }
@@ -292,15 +292,15 @@ TEST(ObsExporterEscapingTest, TraceJsonSurvivesHostileSpanNames) {
   metrics.record_phase(hostile, begin, begin + std::chrono::milliseconds(2));
 
   const std::string trace = metrics.trace_json();
-  const auto doc = minijson::parse(trace);
+  const auto doc = serve::parse_json(trace);
   ASSERT_TRUE(doc.has_value()) << "trace_json emitted invalid JSON:\n"
                                << trace;
-  const minijson::Value* events = doc->find("traceEvents");
+  const serve::JsonValue* events = doc->find("traceEvents");
   ASSERT_NE(events, nullptr);
-  ASSERT_EQ(events->kind, minijson::Value::Kind::kArray);
+  ASSERT_EQ(events->kind, serve::JsonValue::Kind::kArray);
   bool found = false;
-  for (const minijson::Value& event : events->items) {
-    const minijson::Value* name = event.find("name");
+  for (const serve::JsonValue& event : events->items) {
+    const serve::JsonValue* name = event.find("name");
     if (name != nullptr && name->text == hostile) found = true;
   }
   EXPECT_TRUE(found) << "hostile span name did not round-trip";

@@ -124,11 +124,22 @@ TEST(ServeJsonTest, ParsesRequestsAndRejectsGarbage) {
 }
 
 TEST(ServeJsonTest, EscapeRoundTripsThroughTheParser) {
-  const std::string raw = "quote \" slash \\ tab \t newline \n ctrl \x01 end";
-  const auto parsed =
-      serve::parse_json("\"" + serve::escape_json(raw) + "\"");
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->text, raw);
+  // Every control byte 0x00-0x1F (built byte by byte, so NUL is included),
+  // DEL, and multi-byte UTF-8 sequences ("°" and "€").
+  std::string controls;
+  for (int c = 0x00; c < 0x20; ++c) controls.push_back(static_cast<char>(c));
+  const std::vector<std::string> inputs{
+      "quote \" slash \\ tab \t newline \n ctrl \x01 end",
+      controls,
+      "del \x7f end",
+      "utf-8 \xc2\xb0 and \xe2\x82\xac end",
+  };
+  for (const std::string& raw : inputs) {
+    const std::string escaped = serve::escape_json(raw);
+    const auto parsed = serve::parse_json("\"" + escaped + "\"");
+    ASSERT_TRUE(parsed.has_value()) << escaped;
+    EXPECT_EQ(parsed->text, raw) << escaped;
+  }
 }
 
 TEST(ServeJsonTest, NestingDepthIsBounded) {

@@ -12,7 +12,9 @@
 #      delta-snapshot differential suite so the incremental path's chain
 #      walking and replay run under the same lens, and the serve suite so
 #      hostile requests (a JSON nesting flood, garbage frames) that would
-#      smash a stack or overread a buffer in the daemon fail the gate.
+#      smash a stack or overread a buffer in the daemon fail the gate; the
+#      obs and cdlint suites ride along because they too drive the JSON
+#      reader (the tree's only one) over the writer's output.
 #   4. observability smoke: the CLI with --metrics/--trace on the bundled
 #      dataset (work counters must be bit-identical at --threads 1 vs 8,
 #      per DESIGN.md §11) plus the micro_pipeline, micro_ingest and
@@ -77,7 +79,7 @@ cmake -B build-asan -S . -DCOSMICDANCE_SANITIZE=address
 cmake --build build-asan -j "$JOBS" \
       --target ingestion_fuzz_test diag_test io_test tle_test tle2_test \
                timeutil_test spaceweather_test snapshot_test \
-               delta_snapshot_test serve_test
+               delta_snapshot_test serve_test obs_test cdlint_test
 # The fuzz suite feeds truncated / corrupted fixed-column records through
 # every ingestion path; ASan+UBSan turns any column overread into a failure.
 # snapshot_test drives the corrupted-snapshot failure matrix (truncation,
@@ -86,9 +88,11 @@ cmake --build build-asan -j "$JOBS" \
 # (broken layer chains, forged appends, the append/compact fuzz loop).
 # serve_test drives hostile requests (garbage frames, a 64 KiB nesting
 # flood) through the JSON reader, the service and the loopback daemon, so
-# a stack overflow or overread in the request path fails here.
+# a stack overflow or overread in the request path fails here.  The obs
+# and cdlint suites validate the metrics/trace exporters and cdlint --json
+# through that same reader, so its every caller runs under the same lens.
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-      -R 'IngestionFuzz|Diag|ParseLog|DataQualityReport|Csv|Tle|DateTime|Wdc|Snapshot|DeltaSnapshot|Serve'
+      -R 'IngestionFuzz|Diag|ParseLog|DataQualityReport|Csv|Tle|DateTime|Wdc|Snapshot|DeltaSnapshot|Serve|Obs|Cdlint'
 
 echo "== pass 4: observability smoke (CLI metrics/trace + bench telemetry) =="
 CLI=build/tools/cosmicdance

@@ -13,6 +13,7 @@
 #include <string>
 #include <thread>
 
+#include "common/json.hpp"
 #include "core/pipeline.hpp"
 #include "exec/thread_pool.hpp"
 #include "io/args.hpp"
@@ -75,26 +76,23 @@ inline void note(const std::string& text) {
 /// `hardware_concurrency` the machine it ran on — without both, a
 /// throughput regression on an 8-core box and a healthy run on a 1-core
 /// box are indistinguishable in the archived records.
-/// `bench` / `dataset` / throughput keys are caller-controlled literals and
-/// must not need JSON escaping.
+/// Non-finite rates are written as null (JSON has no NaN/Inf).
 inline void write_bench_record(const std::string& path, const std::string& bench,
                                int threads, const std::string& dataset,
                                const std::map<std::string, double>& throughput,
                                const obs::Metrics& metrics) {
   std::string json =
-      "{\n  \"bench\": \"" + bench + "\",\n  \"threads\": " +
+      "{\n  \"bench\": \"" + escape_json(bench) + "\",\n  \"threads\": " +
       std::to_string(threads) + ",\n  \"threads_resolved\": " +
       std::to_string(exec::resolve_thread_count(threads)) +
       ",\n  \"hardware_concurrency\": " +
       std::to_string(std::thread::hardware_concurrency()) +
-      ",\n  \"dataset\": \"" + dataset + "\",\n  \"throughput\": {";
+      ",\n  \"dataset\": \"" + escape_json(dataset) + "\",\n  \"throughput\": {";
   bool first = true;
-  char buffer[64];
   for (const auto& [name, value] : throughput) {
     if (!first) json += ", ";
     first = false;
-    std::snprintf(buffer, sizeof(buffer), "%.6g", value);
-    json += "\"" + name + "\": " + buffer;
+    json += "\"" + escape_json(name) + "\": " + json_number(value);
   }
   json += "},\n  \"metrics\": " + metrics.snapshot().to_json() + "\n}\n";
   io::write_file(path, json);

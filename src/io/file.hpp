@@ -20,7 +20,7 @@ void write_file(const std::string& path, const std::string& content);
 /// Append bytes to the end of an existing file (created if missing).
 /// Throws IoError on failure.  Not atomic: a caller whose format cannot
 /// detect a torn tail (the snapshot delta chain can, via per-layer
-/// size/CRC checks) should write-and-rename instead.
+/// size/checksum checks) should write-and-rename instead.
 void append_file(const std::string& path, std::string_view content);
 
 /// A read-only view of a whole file, preferring mmap (zero-copy) with a

@@ -2,11 +2,6 @@
 
 #include <unistd.h>
 
-#if defined(__x86_64__) || defined(__i386__)
-#include <nmmintrin.h>  // SSE4.2 CRC32; used only behind a runtime cpu check
-#endif
-
-#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdio>
@@ -27,8 +22,9 @@ namespace {
 
 constexpr char kMagic[8] = {'C', 'D', 'S', 'N', 'A', 'P', 'v', '1'};
 constexpr char kDeltaMagic[8] = {'C', 'D', 'D', 'E', 'L', 'T', 'A', '1'};
-constexpr std::size_t kHeaderSize = 40;
-constexpr std::size_t kSectionCountOffset = 36;
+constexpr std::size_t kBaseHeaderSize = 44;
+constexpr std::size_t kLayerHeaderSize = 40;
+constexpr std::size_t kSectionCountOffset = 40;
 
 // ---- section layout (see snapshot.hpp for the format doc) -------------------
 
@@ -36,17 +32,17 @@ constexpr std::uint32_t kSectionState = 1;
 constexpr std::uint32_t kSectionDst = 2;
 constexpr std::uint32_t kSectionCatalogStripe = 3;
 constexpr std::uint32_t kSectionQuality = 4;
-constexpr std::size_t kSectionEntrySize = 24;
+constexpr std::size_t kSectionEntrySize = 28;
 
 /// Records per catalog stripe (whole satellites each).  Only the catalog's
 /// contents pick the boundaries, so encode output is thread-count-
-/// invariant; the value balances per-section CRC/decode parallelism
+/// invariant; the value balances per-section checksum/decode parallelism
 /// against table overhead.
 constexpr std::size_t kStripeTargetRecords = 16384;
 
 struct SectionEntry {
   std::uint32_t kind = 0;
-  std::uint32_t crc = 0;
+  std::uint64_t digest = 0;
   std::uint64_t offset = 0;  // relative to the end of the section table
   std::uint64_t length = 0;
 };
@@ -417,82 +413,6 @@ std::uint64_t digest_merge(std::uint64_t hash, std::uint64_t lane) {
   return hash * kPrime1 + kPrime4;
 }
 
-// ---- CRC32C -----------------------------------------------------------------
-
-using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
-
-/// Slice-by-8 tables for the reflected Castagnoli polynomial.  table[0] is
-/// the classic byte-at-a-time table; tables 1..7 fold bytes further along,
-/// so the main loop can consume 8 input bytes per iteration with identical
-/// values to the one-byte walk, just ~6x faster.
-CrcTables make_crc32c_tables() {
-  constexpr std::uint32_t kPolynomial = 0x82F63B78u;
-  CrcTables t{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) != 0 ? kPolynomial ^ (c >> 1) : c >> 1;
-    }
-    t[0][i] = c;
-  }
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = t[0][i];
-    for (std::size_t slice = 1; slice < 8; ++slice) {
-      c = t[0][c & 0xFFu] ^ (c >> 8);
-      t[slice][i] = c;
-    }
-  }
-  return t;
-}
-
-std::uint32_t crc32c_sliced(std::string_view bytes) {
-  static const CrcTables tables = make_crc32c_tables();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  const char* p = bytes.data();
-  std::size_t n = bytes.size();
-  while (n >= 8) {
-    const std::uint32_t lo = load_le32(p) ^ crc;
-    const std::uint32_t hi = load_le32(p + 4);
-    crc = tables[7][lo & 0xFFu] ^ tables[6][(lo >> 8) & 0xFFu] ^
-          tables[5][(lo >> 16) & 0xFFu] ^ tables[4][lo >> 24] ^
-          tables[3][hi & 0xFFu] ^ tables[2][(hi >> 8) & 0xFFu] ^
-          tables[1][(hi >> 16) & 0xFFu] ^ tables[0][hi >> 24];
-    p += 8;
-    n -= 8;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    crc = tables[0][(crc ^ static_cast<unsigned char>(p[i])) & 0xFFu] ^
-          (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
-#if defined(__x86_64__) || defined(__i386__)
-/// The SSE4.2 CRC32 instruction implements exactly the reflected
-/// Castagnoli polynomial, 8 bytes per ~1-cycle op — an order of magnitude
-/// past the table walk.  Compiled for sse4.2 via the function attribute
-/// (the translation unit keeps the portable baseline flags) and only
-/// reached behind the runtime cpu check in crc32c below.
-__attribute__((target("sse4.2"))) std::uint32_t crc32c_hw(
-    std::string_view bytes) {
-  const char* p = bytes.data();
-  std::size_t n = bytes.size();
-  std::uint64_t crc = 0xFFFFFFFFu;
-  while (n >= 8) {
-    std::uint64_t word;
-    std::memcpy(&word, p, 8);  // x86 is little-endian; bytes map directly
-    crc = _mm_crc32_u64(crc, word);
-    p += 8;
-    n -= 8;
-  }
-  std::uint32_t crc32 = static_cast<std::uint32_t>(crc);
-  for (std::size_t i = 0; i < n; ++i) {
-    crc32 = _mm_crc32_u8(crc32, static_cast<unsigned char>(p[i]));
-  }
-  return crc32 ^ 0xFFFFFFFFu;
-}
-#endif
-
 /// Newlines in `bytes`.  memchr is vectorised in libc; std::count over
 /// chars is not at -O2, and this runs over every input byte on every
 /// cold run and append.
@@ -558,14 +478,6 @@ std::uint64_t content_digest(std::string_view bytes, std::uint64_t seed) {
   hash *= kPrime3;
   hash ^= hash >> 32;
   return hash;
-}
-
-std::uint32_t crc32c(std::string_view bytes) {
-#if defined(__x86_64__) || defined(__i386__)
-  static const bool hardware = __builtin_cpu_supports("sse4.2");
-  if (hardware) return crc32c_hw(bytes);
-#endif
-  return crc32c_sliced(bytes);
 }
 
 IngestState ingest_state_of(std::string_view dst_bytes,
@@ -676,10 +588,11 @@ std::string encode_snapshot(const SnapshotData& data, diag::ParsePolicy policy,
     return kSectionQuality;
   };
 
-  // Each section serialises (and CRCs) into its own buffer, independently.
+  // Each section serialises (and digests) into its own buffer,
+  // independently.
   struct EncodedSection {
     std::string bytes;
-    std::uint32_t crc = 0;
+    std::uint64_t digest = 0;
   };
   const std::vector<EncodedSection> sections =
       exec::ordered_map<EncodedSection>(
@@ -716,7 +629,7 @@ std::string encode_snapshot(const SnapshotData& data, diag::ParsePolicy policy,
                 encode_quality(payload, data.quality);
                 break;
             }
-            section.crc = crc32c(payload);
+            section.digest = content_digest(payload);
             return section;
           },
           nullptr);
@@ -726,7 +639,7 @@ std::string encode_snapshot(const SnapshotData& data, diag::ParsePolicy policy,
   std::uint64_t offset = 0;
   for (std::size_t i = 0; i < section_count; ++i) {
     put_u32(table, kind_of(i));
-    put_u32(table, sections[i].crc);
+    put_u64(table, sections[i].digest);
     put_u64(table, offset);
     put_u64(table, sections[i].bytes.size());
     offset += sections[i].bytes.size();
@@ -734,14 +647,14 @@ std::string encode_snapshot(const SnapshotData& data, diag::ParsePolicy policy,
   const std::uint64_t payload_size = table.size() + offset;
 
   std::string out;
-  out.reserve(kHeaderSize + payload_size);
+  out.reserve(kBaseHeaderSize + payload_size);
   out.append(kMagic, sizeof(kMagic));
   put_u32(out, kSnapshotFormatVersion);
   put_u8(out, policy_byte(policy));
   out.append(3, '\0');
   put_u64(out, data.state.combined_hash);
   put_u64(out, payload_size);
-  put_u32(out, crc32c(table));
+  put_u64(out, content_digest(table));
   put_u32(out, static_cast<std::uint32_t>(section_count));
   out.append(table);
   for (const EncodedSection& section : sections) out.append(section.bytes);
@@ -754,15 +667,14 @@ std::string encode_snapshot_delta(const SnapshotDelta& delta,
                                   diag::ParsePolicy policy) {
   const std::string payload = encode_delta_payload(delta);
   std::string out;
-  out.reserve(kHeaderSize + payload.size());
+  out.reserve(kLayerHeaderSize + payload.size());
   out.append(kDeltaMagic, sizeof(kDeltaMagic));
   put_u32(out, layer_index);
   put_u8(out, policy_byte(policy));
   out.append(3, '\0');
   put_u64(out, prev_chain_hash);
   put_u64(out, payload.size());
-  put_u32(out, crc32c(payload));
-  out.append(4, '\0');
+  put_u64(out, content_digest(payload));
   out.append(payload);
   return out;
 }
@@ -774,7 +686,7 @@ namespace {
 /// Returns false on any disagreement; throws (caught by the caller) on
 /// truncated fields or histories adopt_history refuses.
 bool decode_base(std::string_view payload, std::uint64_t header_content_hash,
-                 std::uint32_t table_crc, std::uint32_t section_count,
+                 std::uint64_t table_digest, std::uint32_t section_count,
                  diag::ParsePolicy policy, int num_threads,
                  SnapshotData& data) {
   // The table must fit the payload (a short file is a truncated section
@@ -785,7 +697,7 @@ bool decode_base(std::string_view payload, std::uint64_t header_content_hash,
       static_cast<std::uint64_t>(section_count) * kSectionEntrySize;
   if (table_size > payload.size()) return false;
   const std::string_view table = payload.substr(0, table_size);
-  if (crc32c(table) != table_crc) return false;
+  if (content_digest(table) != table_digest) return false;
 
   const std::string_view body = payload.substr(table_size);
   std::vector<SectionEntry> entries(section_count);
@@ -795,7 +707,7 @@ bool decode_base(std::string_view payload, std::uint64_t header_content_hash,
     for (std::uint32_t i = 0; i < section_count; ++i) {
       SectionEntry& entry = entries[i];
       entry.kind = tc.u32();
-      entry.crc = tc.u32();
+      entry.digest = tc.u64();
       entry.offset = tc.u64();
       entry.length = tc.u64();
       // Sections must tile the body contiguously in table order; any
@@ -830,7 +742,9 @@ bool decode_base(std::string_view payload, std::uint64_t header_content_hash,
         try {
           const SectionEntry& entry = entries[i];
           const std::string_view blob = body.substr(entry.offset, entry.length);
-          if (crc32c(blob) != entry.crc) throw ParseError("section CRC");
+          if (content_digest(blob) != entry.digest) {
+            throw ParseError("section digest");
+          }
           Cursor in(blob);
           switch (entry.kind) {
             case kSectionState:
@@ -846,7 +760,7 @@ bool decode_base(std::string_view payload, std::uint64_t header_content_hash,
                 const std::int32_t id = in.i32();
                 const std::uint64_t records = in.u64();
                 std::vector<tle::Tle> history;
-                // The byte-count bound keeps a corrupt (but CRC-valid)
+                // The byte-count bound keeps a corrupt (but digest-valid)
                 // count from reserving unbounded memory: each record is
                 // at least ~125 bytes of section payload.
                 if (records > entry.length / 64) {
@@ -895,10 +809,11 @@ bool decode_base(std::string_view payload, std::uint64_t header_content_hash,
 std::optional<SnapshotData> decode_snapshot(std::string_view bytes,
                                             diag::ParsePolicy policy,
                                             int num_threads) {
-  if (bytes.size() < kHeaderSize) return std::nullopt;
+  if (bytes.size() < kBaseHeaderSize) return std::nullopt;
   if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) return std::nullopt;
   try {
-    Cursor header(bytes.substr(sizeof(kMagic), kHeaderSize - sizeof(kMagic)));
+    Cursor header(
+        bytes.substr(sizeof(kMagic), kBaseHeaderSize - sizeof(kMagic)));
     const std::uint32_t version = header.u32();
     if (version != kSnapshotFormatVersion) return std::nullopt;
     const std::uint8_t policy_raw = header.u8();
@@ -906,13 +821,14 @@ std::optional<SnapshotData> decode_snapshot(std::string_view bytes,
     if (policy_raw != policy_byte(policy)) return std::nullopt;
     const std::uint64_t header_content_hash = header.u64();
     const std::uint64_t payload_size = header.u64();
-    const std::uint32_t table_crc = header.u32();
+    const std::uint64_t table_digest = header.u64();
     const std::uint32_t section_count = header.u32();
-    if (bytes.size() - kHeaderSize < payload_size) return std::nullopt;
-    const std::string_view payload = bytes.substr(kHeaderSize, payload_size);
+    if (bytes.size() - kBaseHeaderSize < payload_size) return std::nullopt;
+    const std::string_view payload =
+        bytes.substr(kBaseHeaderSize, payload_size);
 
     SnapshotData data;
-    if (!decode_base(payload, header_content_hash, table_crc, section_count,
+    if (!decode_base(payload, header_content_hash, table_digest, section_count,
                      policy, num_threads, data)) {
       return std::nullopt;
     }
@@ -924,20 +840,20 @@ std::optional<SnapshotData> decode_snapshot(std::string_view bytes,
     //
     // The one recoverable shape is a torn *tail*: a crashed append leaves
     // a pure prefix of valid layer bytes, so "file ends mid-header",
-    // "file ends mid-payload" and "final layer fails its CRC" all mean
+    // "file ends mid-payload" and "final layer fails its digest" all mean
     // the bytes before the tear are exactly the pre-append snapshot.
     // Those truncate (tail_truncated) instead of rejecting.  The same
     // check failing anywhere *before* the final layer cannot come from a
     // torn append and still rejects the whole file.
-    std::uint64_t chain = content_digest(bytes.substr(0, kHeaderSize));
-    std::size_t pos = kHeaderSize + payload_size;
+    std::uint64_t chain = content_digest(bytes.substr(0, kBaseHeaderSize));
+    std::size_t pos = kBaseHeaderSize + payload_size;
     std::uint32_t applied = 0;
     while (pos < bytes.size()) {
-      if (bytes.size() - pos < kHeaderSize) {
+      if (bytes.size() - pos < kLayerHeaderSize) {
         data.tail_truncated = true;  // torn mid-header
         break;
       }
-      const std::string_view layer_header = bytes.substr(pos, kHeaderSize);
+      const std::string_view layer_header = bytes.substr(pos, kLayerHeaderSize);
       if (std::memcmp(layer_header.data(), kDeltaMagic, sizeof(kDeltaMagic)) !=
           0) {
         return std::nullopt;
@@ -948,18 +864,19 @@ std::optional<SnapshotData> decode_snapshot(std::string_view bytes,
       lh.view(3);  // padding
       const std::uint64_t prev_chain = lh.u64();
       const std::uint64_t layer_size = lh.u64();
-      const std::uint32_t layer_crc = lh.u32();
+      const std::uint64_t layer_digest = lh.u64();
       if (layer_index != applied + 1) return std::nullopt;
       if (layer_policy != policy_byte(policy)) return std::nullopt;
       if (prev_chain != chain) return std::nullopt;
-      if (bytes.size() - pos - kHeaderSize < layer_size) {
+      if (bytes.size() - pos - kLayerHeaderSize < layer_size) {
         data.tail_truncated = true;  // torn mid-payload
         break;
       }
       const std::string_view layer_payload =
-          bytes.substr(pos + kHeaderSize, layer_size);
-      if (crc32c(layer_payload) != layer_crc) {
-        const bool final_layer = pos + kHeaderSize + layer_size == bytes.size();
+          bytes.substr(pos + kLayerHeaderSize, layer_size);
+      if (content_digest(layer_payload) != layer_digest) {
+        const bool final_layer =
+            pos + kLayerHeaderSize + layer_size == bytes.size();
         if (!final_layer) return std::nullopt;  // mid-chain bit rot
         data.tail_truncated = true;  // torn inside the final payload
         break;
@@ -968,7 +885,7 @@ std::optional<SnapshotData> decode_snapshot(std::string_view bytes,
       apply_delta_payload(lp, data, policy);
       if (!lp.exhausted()) return std::nullopt;
       chain = content_digest(layer_header);
-      pos += kHeaderSize + layer_size;
+      pos += kLayerHeaderSize + layer_size;
       ++applied;
     }
     data.delta_layers = applied;
@@ -1002,7 +919,7 @@ std::optional<SnapshotData> load_snapshot(const std::string& path,
         // them.
         metrics->counter("snapshot.load_records")
             .add(data->catalog.record_count());
-        // How the base was laid out on disk (header bytes 36-39; the
+        // How the base was laid out on disk (header bytes 40-43; the
         // decode above proved the header whole) — stripe sizing, not
         // results, so a scheduling counter.
         metrics->sched_counter("snapshot.load_sections")
@@ -1077,7 +994,7 @@ bool append_snapshot_delta(const std::string& path, const SnapshotDelta& delta,
   try {
     const std::string bytes =
         encode_snapshot_delta(delta, layer_index, prev_chain_hash, policy);
-    // A torn append leaves a layer whose size/CRC checks fail on the next
+    // A torn append leaves a layer whose size/digest checks fail on the next
     // load, which falls back to a full reparse and a fresh base — no
     // temp-and-rename dance needed for crash safety here.
     append_file(path, bytes);

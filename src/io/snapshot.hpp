@@ -16,11 +16,14 @@
 //     layer before it.  Once the chain reaches kMaxSnapshotDeltaLayers the
 //     next append compacts everything back into a single base.
 //   * Any other disagreement (shrunk or edited inputs, format version,
-//     parse policy, truncation, CRC, a broken layer chain) makes the
+//     parse policy, truncation, a checksum, a broken layer chain) makes the
 //     loader/caller silently fall back to the text path and rewrite a
 //     fresh base.  See DESIGN.md §14 for the format and the reasoning.
 //
-// Layout: a fixed 40-byte base header
+// Every checksum below is the 64-bit content_digest of the bytes it
+// covers, the same function as the identity key.
+//
+// Layout: a fixed 44-byte base header
 //   bytes  0-7   magic "CDSNAPv1"
 //   bytes  8-11  format version (u32)
 //   byte   12    parse policy (0 strict, 1 tolerant)
@@ -28,14 +31,14 @@
 //   bytes 16-23  content digest of the raw inputs (u64, dst chained into
 //                tle — the same combined hash IngestState carries)
 //   bytes 24-31  base payload size in bytes (u64)
-//   bytes 32-35  CRC32C of the section table (u32)
-//   bytes 36-39  section count (u32)
+//   bytes 32-39  checksum of the section table (u64)
+//   bytes 40-43  section count (u32)
 // followed by the base payload: a *section table* followed by the section
 // bytes, so a loader can validate and deserialise sections independently
 // (in parallel) and size its containers up front:
-//   table:   section count × 24-byte entries
+//   table:   section count × 28-byte entries
 //              u32 kind (1 state, 2 Dst, 3 catalog stripe, 4 quality)
-//              u32 CRC32C of the section's bytes
+//              u64 checksum of the section's bytes
 //              u64 offset (relative to the end of the table)
 //              u64 length in bytes
 //            Entries must tile the post-table payload contiguously in
@@ -56,8 +59,7 @@
 //                missing or spliced layers break the chain and reject the
 //                snapshot
 //   bytes 24-31  layer payload size in bytes (u64)
-//   bytes 32-35  CRC32C of the layer payload (u32)
-//   bytes 36-39  zero padding
+//   bytes 32-39  checksum of the layer payload (u64)
 // followed by that layer's payload.  All integers little-endian; doubles
 // are stored as their IEEE-754 bit patterns so reload is bit-exact.
 #pragma once
@@ -82,12 +84,12 @@ namespace cosmicdance::io {
 /// version mismatch is a silent reject-and-reparse, never a migration.
 /// v2 added the ingest state record and delta layers, v3 the section-table
 /// payload (DESIGN.md §14, §18), v4 the XXH64 content digest in place of
-/// FNV-1a and CRC32C on delta layers.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 4;
+/// FNV-1a, v5 that digest in every checksum field in place of CRC32C.
+inline constexpr std::uint32_t kSnapshotFormatVersion = 5;
 
 /// Delta layers allowed on a base before the next append compacts the
 /// whole chain back into a single base.  Small on purpose: every layer is
-/// one more header walk + CRC on load, and compaction writes are already
+/// one more header walk + checksum on load, and compaction writes are already
 /// amortised against a full text parse.
 inline constexpr std::uint32_t kMaxSnapshotDeltaLayers = 4;
 
@@ -96,17 +98,12 @@ inline constexpr std::uint32_t kMaxSnapshotDeltaLayers = 4;
 /// the same on every host).  Seeding with one buffer's digest chains
 /// several buffers into one identity, which is how the Dst digest keys the
 /// TLE digest and how the prefix checks for appends reuse a recorded
-/// seed.  This is the cache's *identity* key: a false exact hit would
-/// silently serve stale data, so it stays 64 bits wide and separate from
-/// the 32-bit CRC32C integrity checksum below.
+/// seed.  It is the cache's *identity* key (a false exact hit would
+/// silently serve stale data, so it is 64 bits wide) and also its
+/// integrity check: it seals the section table, each section and each
+/// delta layer.
 [[nodiscard]] std::uint64_t content_digest(std::string_view bytes,
                                            std::uint64_t seed = 0);
-
-/// CRC32C (Castagnoli polynomial) of `bytes` — the section, section-table
-/// and delta-layer integrity check.  Uses the SSE4.2 CRC32 instruction
-/// when the cpu has it; the portable table fallback produces identical
-/// values, so files are byte-compatible across machines either way.
-[[nodiscard]] std::uint32_t crc32c(std::string_view bytes);
 
 /// What a snapshot knows about the raw input pair it was built from —
 /// enough to recognise the exact same bytes (lengths + hashes), to
@@ -180,7 +177,7 @@ struct SnapshotData {
   /// the next appended layer must carry as its chain hash.
   std::uint64_t chain_hash = 0;
   /// True when the file ended mid-layer (a torn append: partial trailing
-  /// header, short payload, or a CRC-failing *final* layer) and the torn
+  /// header, short payload, or a checksum-failing *final* layer) and the torn
   /// tail was dropped.  `state` then describes only the recovered prefix —
   /// the caller must treat the snapshot as behind the text inputs and must
   /// not append further layers to the file (they would sit after torn
@@ -228,16 +225,16 @@ struct SnapshotDelta {
 
 /// Parse snapshot bytes: the base plus every delta layer, applied in
 /// order.  Returns nullopt — never throws — when anything disagrees:
-/// magic, version, policy, payload sizes, CRCs, the layer chain, or a
+/// magic, version, policy, payload sizes, checksums, the layer chain, or a
 /// payload that decodes inconsistently.
 ///
 /// One deliberate exception to all-or-nothing: a torn *trailing* layer —
 /// the signature a crashed append leaves behind (file ends mid-header,
-/// mid-payload, or with a CRC-failing final layer) — truncates to the
+/// mid-payload, or with a checksum-failing final layer) — truncates to the
 /// valid base + layer prefix and sets `tail_truncated` instead of
 /// rejecting.  Everything a torn append can produce is a pure prefix of
 /// valid bytes, so the recovered prefix is exactly the pre-append
-/// snapshot.  Corruption *inside* the prefix (bad mid-chain CRC, wrong
+/// snapshot.  Corruption *inside* the prefix (bad mid-chain checksum, wrong
 /// index/policy/chain hash with a complete header) still rejects the
 /// whole file: that is bit rot or tampering, not a crash signature, and
 /// the text source of truth is always available.
@@ -281,7 +278,7 @@ bool save_snapshot(const std::string& path, const SnapshotData& data,
 /// Append one delta layer to an existing snapshot file.  Best-effort like
 /// save_snapshot (failure bumps `snapshot.write_failed`); success bumps
 /// `snapshot.delta_written`.  A torn append is caught by the next load's
-/// size/CRC checks and falls back to a full reparse.  Wall time lands in
+/// size/checksum checks and falls back to a full reparse.  Wall time lands in
 /// phase "snapshot.save".
 bool append_snapshot_delta(const std::string& path, const SnapshotDelta& delta,
                            std::uint32_t layer_index,

@@ -208,16 +208,22 @@ std::uint64_t read_u64_le(const std::string& bytes, std::size_t offset) {
   return v;
 }
 
+// Header sizes (the format doc in snapshot.hpp).
+constexpr std::size_t kBaseHeaderBytes = 44;
+constexpr std::size_t kLayerHeaderBytes = 40;
+
 /// Split a snapshot file into [base, layer 1, layer 2, ...] segments,
 /// each header + payload, using the payload-size fields.
 std::vector<std::string> split_segments(const std::string& bytes) {
   std::vector<std::string> segments;
   std::size_t pos = 0;
-  while (pos + 40 <= bytes.size()) {
+  std::size_t header = kBaseHeaderBytes;
+  while (pos + header <= bytes.size()) {
     const std::size_t length =
-        40 + static_cast<std::size_t>(read_u64_le(bytes, pos + 24));
+        header + static_cast<std::size_t>(read_u64_le(bytes, pos + 24));
     segments.push_back(bytes.substr(pos, length));
     pos += length;
+    header = kLayerHeaderBytes;
   }
   return segments;
 }
@@ -520,7 +526,7 @@ TEST(DeltaSnapshotTest, BrokenDeltaChainsRejectTheWholeSnapshot) {
   {
     SCOPED_TRACE("flipped byte inside a layer payload");
     std::string corrupted = base + layer1 + layer2;
-    corrupted[base.size() + 40 + layer1.size() / 3] ^= 0x20;
+    corrupted[base.size() + kLayerHeaderBytes + layer1.size() / 3] ^= 0x20;
     expect_reject_and_fallback(f, ParsePolicy::kTolerant, corrupted);
   }
 }
@@ -529,7 +535,7 @@ TEST(DeltaSnapshotTest, BrokenDeltaChainsRejectTheWholeSnapshot) {
 
 TEST(DeltaSnapshotTest, TornTrailingLayerTruncatesToTheValidPrefix) {
   // Decode-level contract: every way a crashed append can tear the *final*
-  // layer — mid-header, mid-payload, or a CRC-failing complete payload —
+  // layer — mid-header, mid-payload, or a checksum-failing complete payload —
   // recovers base + layer 1 with tail_truncated set, while the same
   // corruption anywhere earlier in the chain still rejects the whole file.
   Fixture f = make_fixture("torn_decode", 6, 4);
@@ -570,15 +576,15 @@ TEST(DeltaSnapshotTest, TornTrailingLayerTruncatesToTheValidPrefix) {
     expect_truncated(full.substr(0, full.size() - 5));
   }
   {
-    SCOPED_TRACE("final layer fails its CRC");
+    SCOPED_TRACE("final layer fails its checksum");
     std::string torn = full;
     torn[full.size() - 3] ^= 0x20;
     expect_truncated(torn);
   }
   {
-    SCOPED_TRACE("the same CRC failure mid-chain still rejects");
+    SCOPED_TRACE("the same checksum failure mid-chain still rejects");
     std::string corrupted = full;
-    corrupted[segments[0].size() + 40 + 3] ^= 0x20;
+    corrupted[segments[0].size() + kLayerHeaderBytes + 3] ^= 0x20;
     EXPECT_FALSE(
         io::decode_snapshot(corrupted, ParsePolicy::kTolerant).has_value());
   }

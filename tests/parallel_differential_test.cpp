@@ -338,12 +338,15 @@ TEST(ThreadPoolTest, ResolveThreadCount) {
 }
 
 TEST(ThreadPoolTest, DrainsAllSubmittedTasks) {
-  exec::ThreadPool pool(4);
   constexpr int kTasks = 5000;
   std::atomic<int> done{0};
   std::atomic<int> remaining{kTasks};
   std::mutex m;
   std::condition_variable cv;
+  // Declared after everything its tasks touch, so its destructor joins the
+  // workers before those are destroyed: the last task may still be inside
+  // notify_one() when the wait below returns.
+  exec::ThreadPool pool(4);
   for (int i = 0; i < kTasks; ++i) {
     pool.submit([&] {
       done.fetch_add(1);

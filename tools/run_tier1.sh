@@ -5,7 +5,9 @@
 #      suite, which must be race-free for the deterministic-ordering
 #      contract to mean anything; the batch SGP4 suite rides along so a
 #      shared propagator driven from many threads (the pure-kernel contract,
-#      DESIGN.md §16) is under the same lens,
+#      DESIGN.md §16) is under the same lens, and so does the snapshot
+#      suite, whose checksums run on pool workers and whose concurrent
+#      savers race real writers over one cache entry,
 #   3. ASan+UBSan (COSMICDANCE_SANITIZE=address) over the ingestion suites,
 #      driving the malformed-record corpus through both parse policies so
 #      buffer overreads in the fixed-column parsers surface here, and the
@@ -17,10 +19,10 @@
 #      reader (the tree's only one) over the writer's output.
 #   4. observability smoke: the CLI with --metrics/--trace on the bundled
 #      dataset (work counters must be bit-identical at --threads 1 vs 8,
-#      per DESIGN.md §11) plus the micro_pipeline, micro_ingest and
-#      micro_sgp4 telemetry passes, leaving build/BENCH_pipeline.json,
-#      build/BENCH_ingest.json and build/BENCH_sgp4.json behind as CI
-#      artifacts.  The sgp4 record must clear a positions/s floor with zero
+#      per DESIGN.md §11, and the phase timings must name the same phases
+#      at both) plus the micro_ingest and micro_sgp4 telemetry passes,
+#      leaving build/BENCH_ingest.json and build/BENCH_sgp4.json behind as
+#      CI artifacts.  The sgp4 record must clear a positions/s floor with zero
 #      non-kOk statuses and a bit-identical threads=1 vs threads=N grid
 #      (the batch determinism contract, DESIGN.md §16).  The ingest record
 #      must show a warm-cache hit (ingest.cache_hit == 1) and an
@@ -65,14 +67,17 @@ ctest --test-dir build --output-on-failure -j "$JOBS"
 echo "== pass 2: ThreadSanitizer build + parallel suite =="
 cmake -B build-tsan -S . -DCOSMICDANCE_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" \
-      --target parallel_differential_test serve_test sgp4_batch_test
+      --target parallel_differential_test serve_test sgp4_batch_test \
+               snapshot_test
 # TSan halts with a non-zero exit on any race; no suppressions are used.
 # The serve suites put the daemon's atomic snapshot swap (DESIGN.md §15)
 # under the same lens: concurrent readers + reloads must be race-free.
 # Sgp4ThreadSafety drives one shared deep-space propagator from many
 # threads — the regression gate for the old mutable resonance-memo race.
+# The Snapshot suites digest and decode sections on pool workers, and
+# ConcurrentSaversNeverTearTheSnapshot races real writers on one file.
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-      -R 'ParallelDifferential|ParallelForStress|ThreadPoolTest|Serve|Sgp4ThreadSafety|BatchPropagator'
+      -R 'ParallelDifferential|ParallelForStress|ThreadPoolTest|Serve|Sgp4ThreadSafety|BatchPropagator|Snapshot'
 
 echo "== pass 3: ASan+UBSan build + malformed-record ingestion suite =="
 cmake -B build-asan -S . -DCOSMICDANCE_SANITIZE=address
@@ -111,8 +116,6 @@ mkdir -p "$SMOKE"
 # Bench telemetry artifacts (benchmark suites themselves skipped via the
 # nothing-matches filter; the instrumented passes still run).  The ingest
 # record from the previous tier-1 run is kept as the comparison baseline.
-build/bench/micro_pipeline --benchmark_filter='^$' \
-       --bench-out build/BENCH_pipeline.json --threads 0
 if [ -f build/BENCH_ingest.json ]; then
   cp build/BENCH_ingest.json build/BENCH_ingest.prev.json
 fi
@@ -187,10 +190,12 @@ trace = json.load(open(f"{smoke}/trace_t1.json"))
 assert trace["traceEvents"], "empty trace"
 assert any(e.get("ph") == "X" for e in trace["traceEvents"]), \
     "trace has no complete events"
-bench = json.load(open("build/BENCH_pipeline.json"))
-for key in ("bench", "threads", "dataset", "throughput", "metrics"):
-    assert key in bench, f"bench record missing {key!r}"
-assert bench["metrics"]["phases"], "bench record has no phase timings"
+# Phase timings: the CLI's own record must time the pipeline's stages,
+# and the same ones at any thread count.
+assert m1["phases"], "metrics JSON has no phase timings"
+assert sorted(m1["phases"]) == sorted(m8["phases"]), (
+    "phases differ between --threads 1 and 8: "
+    f"{sorted(m1['phases'])} vs {sorted(m8['phases'])}")
 ingest = json.load(open("build/BENCH_ingest.json"))
 for key in ("bench", "threads", "dataset", "throughput", "metrics"):
     assert key in ingest, f"ingest bench record missing {key!r}"
@@ -287,7 +292,7 @@ assert serve_bench.get("serve.reloads") == 1, (
 print(f"observability smoke OK: {len(m1['counters'])} work counters "
       f"bit-identical across thread counts, "
       f"{len(trace['traceEvents'])} trace events, "
-      f"bench throughput keys: {sorted(bench['throughput'])}, "
+      f"{len(m1['phases'])} phases, "
       f"ingest cache_hit={counters['ingest.cache_hit']}, "
       f"delta_hit={counters['ingest.delta_hit']} "
       f"(tail fraction {tail_fraction:.2%}), "
